@@ -114,8 +114,8 @@ int main() {
     }
   };
 
-  // Warmup every config (builds pools, attribute indexes and caches) and
-  // assert the scan/indexed equivalence on the full workload: identical
+  // Warmup every config (builds the scheduler, attribute indexes and caches)
+  // and assert the scan/indexed equivalence on the full workload: identical
   // proposal rankings and bit-identical replacement captures.
   for (const auto& [id, row] : work) {
     std::vector<SplitProposal> expected =

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <limits>
 
-#include "index/cached_bitmap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simd/column_scan.h"
@@ -200,7 +199,6 @@ CategoricalAttributeIndex::CategoricalAttributeIndex(
 }
 
 void CategoricalAttributeIndex::CompactPostings() {
-  if (!ResolveCompressBitmaps()) return;
   for (Posting& p : postings_) {
     if (p.packed) continue;
     CompressedBitmap packed(p.dense);

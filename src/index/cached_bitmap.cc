@@ -1,36 +1,27 @@
 #include "index/cached_bitmap.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace rudolf {
 
-bool ResolveCompressBitmaps() {
-  const char* env = std::getenv("RUDOLF_COMPRESS");
-  if (env != nullptr && env[0] != '\0') return env[0] != '0';
-  return true;
-}
-
 std::shared_ptr<const CachedBitmap> CachedBitmap::Make(Bitset dense) {
   auto out = std::shared_ptr<CachedBitmap>(new CachedBitmap());
   out->size_ = dense.size();
-  if (ResolveCompressBitmaps()) {
-    CompressedBitmap packed(dense);
-    size_t dense_bytes = CompressedBitmap::DenseBytes(dense.size());
-    size_t packed_bytes = packed.MemoryBytes();
-    // Keep the compressed form only when it at least halves the footprint;
-    // near-break-even bitmaps stay dense so the AND-heavy indexed path pays
-    // no decode cost for marginal savings.
-    if (packed_bytes * 2 < dense_bytes) {
-      RUDOLF_COUNTER_ADD("bitmap.compressed.chunks",
-                         static_cast<uint64_t>(packed.NumChunks()));
-      RUDOLF_COUNTER_ADD("bitmap.compressed.bytes_saved",
-                         static_cast<uint64_t>(dense_bytes - packed_bytes));
-      out->packed_ = std::make_unique<const CompressedBitmap>(std::move(packed));
-      return out;
-    }
+  CompressedBitmap packed(dense);
+  size_t dense_bytes = CompressedBitmap::DenseBytes(dense.size());
+  size_t packed_bytes = packed.MemoryBytes();
+  // Keep the compressed form only when it at least halves the footprint;
+  // near-break-even bitmaps stay dense so the AND-heavy indexed path pays
+  // no decode cost for marginal savings.
+  if (packed_bytes * 2 < dense_bytes) {
+    RUDOLF_COUNTER_ADD("bitmap.compressed.chunks",
+                       static_cast<uint64_t>(packed.NumChunks()));
+    RUDOLF_COUNTER_ADD("bitmap.compressed.bytes_saved",
+                       static_cast<uint64_t>(dense_bytes - packed_bytes));
+    out->packed_ = std::make_unique<const CompressedBitmap>(std::move(packed));
+    return out;
   }
   out->dense_ = std::make_unique<const Bitset>(std::move(dense));
   return out;

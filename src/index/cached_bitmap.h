@@ -18,16 +18,12 @@
 
 namespace rudolf {
 
-/// The effective compression setting: `RUDOLF_COMPRESS=0|1` wins over the
-/// built-in default (on). Resolved per call so tests can flip it.
-bool ResolveCompressBitmaps();
-
 /// \brief Immutable dense-or-compressed condition bitmap.
 class CachedBitmap {
  public:
   /// Wraps `dense`, compressing when the roaring form costs at most half
-  /// the dense words (and compression is enabled). Updates the
-  /// `bitmap.compressed.{chunks,bytes_saved}` counters when it compresses.
+  /// the dense words. Updates the `bitmap.compressed.{chunks,bytes_saved}`
+  /// counters when it compresses.
   static std::shared_ptr<const CachedBitmap> Make(Bitset dense);
 
   size_t size() const { return size_; }

@@ -124,22 +124,6 @@ double HistogramSample::ValueAtQuantile(double q) const {
   return max_seconds;
 }
 
-double HistogramSample::Quantile(double q) const {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(count - 1));
-  uint64_t seen = 0;
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    seen += buckets[b];
-    if (seen > rank) {
-      double ub = Histogram::BucketUpperBound(b);
-      // The unbounded last bucket reports the observed max instead of +inf.
-      return std::isinf(ub) ? max_seconds : ub;
-    }
-  }
-  return max_seconds;
-}
-
 MetricsSnapshot MetricsSnapshot::DeltaSince(const MetricsSnapshot& earlier) const {
   MetricsSnapshot delta;
   for (const CounterSample& now : counters) {
@@ -235,9 +219,9 @@ std::string MetricsSnapshot::ToJson(int indent) const {
     out += ", \"max_s\": ";
     AppendNumber(&out, h.max_seconds);
     out += ", \"p50_s\": ";
-    AppendNumber(&out, h.Quantile(0.50));
+    AppendNumber(&out, h.ValueAtQuantile(0.50));
     out += ", \"p95_s\": ";
-    AppendNumber(&out, h.Quantile(0.95));
+    AppendNumber(&out, h.ValueAtQuantile(0.95));
     out += "}";
   }
   out += (histograms.empty() ? std::string() : "\n" + pad + "  ") + "}\n";

@@ -1,6 +1,6 @@
 // Process-wide metrics registry: named lock-free counters and fixed-bucket
 // latency histograms for the engine's hot paths (evaluator, indexes,
-// trackers, proposal phases, thread pool, sessions).
+// trackers, proposal phases, scheduler, sessions).
 //
 // Design constraints, in order:
 //   * near-zero overhead at the increment site — a counter increment is one
@@ -159,14 +159,10 @@ struct HistogramSample {
   TenantLabel tenant = 0;
   std::array<uint64_t, Histogram::kBuckets> buckets{};
 
-  /// Approximate quantile (0..1): the upper bound of the bucket holding the
-  /// q-th sample. ≤ 2x the true value by bucket construction; 0 when empty.
-  double Quantile(double q) const;
-
-  /// Quantile estimate by linear interpolation inside the holding bucket
-  /// (the Prometheus histogram_quantile estimator), clamped to the observed
-  /// max. Strictly tighter than Quantile()'s bucket upper bound; 0 when
-  /// empty. The last (unbounded) bucket reports the observed max.
+  /// Quantile (0..1) estimate by linear interpolation inside the bucket
+  /// holding the q-th sample (the Prometheus histogram_quantile estimator),
+  /// clamped to the observed max; 0 when empty. The last (unbounded) bucket
+  /// reports the observed max.
   double ValueAtQuantile(double q) const;
 };
 

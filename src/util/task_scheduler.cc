@@ -2,16 +2,26 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
+#include <cstdlib>
 #include <exception>
+#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"  // ResolveNumThreads
 
 namespace rudolf {
 
 namespace sched_internal {
+
+// Innermost chunk a thread is executing (episode tag + tenant), linked
+// through parents so nested regions of *different* owners are all visible.
+struct RegionFrame {
+  const void* tag;
+  TenantId tenant;
+  RegionFrame* parent;
+};
 
 // One ParallelFor invocation, stack-allocated on the submitter. Helpers
 // reach it only through a validated slot-table ticket, and the submitter
@@ -26,6 +36,10 @@ struct Episode {
   const std::function<void(size_t, size_t)>* body = nullptr;
   const void* tag = nullptr;
   TenantId tenant = 0;
+  // The submitter's region chain at submit time. Every chunk links to it,
+  // so a helper that steals one sees the submitter's enclosing tags; the
+  // frames stay alive because the submitter blocks until the episode ends.
+  RegionFrame* region = nullptr;
 
   std::atomic<size_t> next_chunk{0};   // claim cursor
   std::atomic<size_t> completed{0};    // chunks fully executed
@@ -110,19 +124,15 @@ uint64_t WorkStealingDeque::StealTop() {
 namespace {
 
 using sched_internal::Episode;
+using sched_internal::RegionFrame;
 
-// Same decomposition policy as ThreadPool: a few chunks per thread so fast
-// workers absorb skew, boundaries pure arithmetic so outputs are
+// A few chunks per thread so fast workers absorb skew (e.g. a selective rule
+// block finishing early); boundaries stay pure arithmetic so outputs are
 // schedule-independent.
 constexpr size_t kChunksPerThread = 4;
 
-// Innermost chunk this thread is executing (episode tag + tenant), linked
-// through parents so nested regions of *different* owners are all visible.
-struct RegionFrame {
-  const void* tag;
-  TenantId tenant;
-  RegionFrame* parent;
-};
+// Largest RUDOLF_THREADS value ResolveNumThreads accepts.
+constexpr long kMaxThreads = 1024;
 
 thread_local RegionFrame* tls_region = nullptr;
 // Tenant set by TenantScope outside any running chunk.
@@ -133,6 +143,33 @@ thread_local TaskScheduler* tls_worker_scheduler = nullptr;
 thread_local int tls_worker_index = -1;
 
 }  // namespace
+
+int ResolveNumThreads(int requested) {
+  if (const char* env = std::getenv("RUDOLF_THREADS")) {
+    char* end = nullptr;
+    errno = 0;
+    long v = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && errno == 0 && v >= 1 &&
+        v <= kMaxThreads) {
+      return static_cast<int>(v);
+    }
+    // Every evaluator resolves its width, so warn once per distinct value.
+    static std::mutex* mu = new std::mutex;
+    static std::string* warned = new std::string;
+    std::lock_guard<std::mutex> lock(*mu);
+    if (*warned != env) {
+      *warned = env;
+      RUDOLF_LOG(Warning) << "ignoring RUDOLF_THREADS=\"" << env
+                          << "\": expected an integer in [1, " << kMaxThreads
+                          << "]";
+    }
+  }
+  if (requested == 0) {
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }
+  return std::max(requested, 1);
+}
 
 // Fixed table mapping tickets to live episodes. A ticket embeds the slot's
 // generation; once the submitter bumps the generation the ticket validates
@@ -167,7 +204,7 @@ TaskScheduler::TaskScheduler(int num_threads)
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
   // Effective width (submitter + workers) — /healthz reports this so a
-  // scrape can tell a narrow container from a misconfigured pool.
+  // scrape can tell a narrow container from a misconfigured scheduler.
   obs::MetricsRegistry::Default()
       .GetGauge("scheduler.width")
       ->Set(spawn + 1);
@@ -222,7 +259,8 @@ Episode* TaskScheduler::JoinTicket(uint64_t ticket) {
 }
 
 void TaskScheduler::RunChunks(Episode* episode) {
-  RegionFrame frame{episode->tag, episode->tenant, tls_region};
+  RegionFrame* const saved = tls_region;
+  RegionFrame frame{episode->tag, episode->tenant, episode->region};
   tls_region = &frame;
   for (;;) {
     size_t c = episode->next_chunk.fetch_add(1, std::memory_order_relaxed);
@@ -241,7 +279,7 @@ void TaskScheduler::RunChunks(Episode* episode) {
       episode->done_cv.notify_all();
     }
   }
-  tls_region = frame.parent;
+  tls_region = saved;
 }
 
 void TaskScheduler::Leave(Episode* episode) {
@@ -365,6 +403,7 @@ void TaskScheduler::ParallelFor(
   episode.body = &body;
   episode.tag = tag;
   episode.tenant = CurrentTenant();
+  episode.region = tls_region;
 
   uint64_t ticket = OpenSlot(&episode);
   if (ticket != 0) {

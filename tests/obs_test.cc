@@ -264,10 +264,12 @@ TEST(HistogramTest, RecordAndQuantiles) {
   MetricsSnapshot snap = reg.Snapshot();
   const HistogramSample* hs = snap.FindHistogram("obs_test.quantile_hist");
   ASSERT_NE(hs, nullptr);
-  // p50 of a hundred 1ms samples: the bucket's upper bound, ≤ 2x the truth.
-  EXPECT_GT(hs->Quantile(0.50), 0.0005);
-  EXPECT_LE(hs->Quantile(0.50), 0.002048);
-  EXPECT_GE(hs->Quantile(1.0), 0.1);
+  // p50 of a hundred 1ms samples falls inside the bucket holding 1ms; the
+  // p100 is the observed max.
+  size_t b = Histogram::BucketFor(0.001);
+  EXPECT_GE(hs->ValueAtQuantile(0.50), Histogram::BucketUpperBound(b - 1));
+  EXPECT_LE(hs->ValueAtQuantile(0.50), Histogram::BucketUpperBound(b));
+  EXPECT_DOUBLE_EQ(hs->ValueAtQuantile(1.0), hs->max_seconds);
 }
 
 TEST(HistogramTest, ConcurrentRecordsCountExactly) {

@@ -4,17 +4,68 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "util/thread_pool.h"  // ResolveNumThreads
+#include "util/logging.h"
 
 namespace rudolf {
 namespace {
+
+TEST(ResolveNumThreads, DefaultsAndClamps) {
+  // The suite may run under an external RUDOLF_THREADS (e.g. the TSan
+  // invocation documented in README); only assert env-free semantics when
+  // the variable is absent.
+  if (std::getenv("RUDOLF_THREADS") != nullptr) {
+    GTEST_SKIP() << "RUDOLF_THREADS overrides requested counts";
+  }
+  EXPECT_EQ(ResolveNumThreads(1), 1);
+  EXPECT_EQ(ResolveNumThreads(4), 4);
+  EXPECT_EQ(ResolveNumThreads(-3), 1);  // degenerate requests go serial
+  EXPECT_GE(ResolveNumThreads(0), 1);   // 0 = hardware concurrency
+}
+
+TEST(ResolveNumThreads, MalformedEnvWarnsAndKeepsRequest) {
+  // Restores whatever RUDOLF_THREADS the suite was started with.
+  std::optional<std::string> saved;
+  if (const char* env = std::getenv("RUDOLF_THREADS")) saved = env;
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kWarning);
+
+  setenv("RUDOLF_THREADS", "8", 1);
+  EXPECT_EQ(ResolveNumThreads(3), 8);
+  setenv("RUDOLF_THREADS", "1024", 1);
+  EXPECT_EQ(ResolveNumThreads(3), 1024);
+  for (const char* bad : {"abc", "0", "-2", "4x", "1025", ""}) {
+    setenv("RUDOLF_THREADS", bad, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(ResolveNumThreads(3), 3) << "RUDOLF_THREADS=" << bad;
+    std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find("RUDOLF_THREADS=\"" + std::string(bad) + "\""),
+              std::string::npos)
+        << log;
+  }
+  // A value already warned about is not logged again on every call.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(ResolveNumThreads(3), 3);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  SetLogLevel(saved_level);
+  if (saved) {
+    setenv("RUDOLF_THREADS", saved->c_str(), 1);
+  } else {
+    unsetenv("RUDOLF_THREADS");
+  }
+}
 
 TEST(TaskScheduler, ConstructionAndTeardown) {
   for (int n : {1, 2, 3, 4, 8}) {
@@ -29,17 +80,45 @@ TEST(TaskScheduler, EveryIndexCoveredExactlyOnce) {
   const size_t n = 100000;
   for (int threads : {1, 2, 4, 8}) {
     TaskScheduler sched(threads);
-    std::vector<std::atomic<uint32_t>> hits(n);
-    sched.ParallelFor(0, n, 64, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
+    for (size_t grain : {0, 1, 64}) {  // grain 0 is treated as 1
+      std::vector<std::atomic<uint32_t>> hits(n);
+      sched.ParallelFor(0, n, grain, [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1u) << "index " << i << ", " << threads
+                                      << " threads, grain " << grain;
       }
-    });
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1u) << "index " << i << ", " << threads
-                                    << " threads";
     }
   }
+}
+
+TEST(TaskScheduler, EmptyRangeRunsNothing) {
+  TaskScheduler sched(4);
+  std::atomic<int> calls{0};
+  sched.ParallelFor(5, 5, 1, [&](size_t, size_t) { ++calls; });
+  sched.ParallelFor(7, 3, 1, [&](size_t, size_t) { ++calls; });
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(TaskScheduler, RangeSmallerThanGrainRunsInlineAsOneChunk) {
+  TaskScheduler sched(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::pair<size_t, size_t>> chunks;
+  bool on_caller = true;
+  for (size_t end : {40, 110}) {  // shorter than, and exactly, one grain
+    sched.ParallelFor(10, end, 100, [&](size_t lo, size_t hi) {
+      // A single inline call: no race possible.
+      chunks.emplace_back(lo, hi);
+      on_caller = on_caller && std::this_thread::get_id() == caller;
+    });
+  }
+  ASSERT_EQ(chunks.size(), 2u);
+  EXPECT_EQ(chunks[0], (std::pair<size_t, size_t>{10, 40}));
+  EXPECT_EQ(chunks[1], (std::pair<size_t, size_t>{10, 110}));
+  EXPECT_TRUE(on_caller);
 }
 
 TEST(TaskScheduler, ChunkBoundariesAreDeterministic) {
@@ -68,6 +147,7 @@ TEST(TaskScheduler, ChunkBoundariesAreDeterministic) {
   EXPECT_EQ(ba.back().second, 64u + n);
   for (size_t i = 1; i < ba.size(); ++i) {
     EXPECT_EQ(ba[i].first, ba[i - 1].second);
+    EXPECT_EQ((ba[i].first - 64) % 128, 0u);  // whole grains from begin
   }
 }
 
@@ -91,20 +171,59 @@ TEST(TaskScheduler, NestedEpisodesRunParallelAndCover) {
 
 TEST(TaskScheduler, ExceptionPropagatesAndSchedulerSurvives) {
   TaskScheduler sched(4);
+  std::atomic<size_t> covered{0};
   try {
-    sched.ParallelFor(0, 256, 1, [&](size_t lo, size_t) {
+    sched.ParallelFor(0, 256, 1, [&](size_t lo, size_t hi) {
+      covered.fetch_add(hi - lo, std::memory_order_relaxed);
       if (lo == 128) throw std::runtime_error("chunk boom");
     });
     FAIL() << "expected the chunk exception on the submitting thread";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "chunk boom");
   }
+  // A throwing chunk does not cancel the others: every chunk still ran.
+  EXPECT_EQ(covered.load(), 256u);
   // The episode wound down cleanly: the scheduler still works.
-  std::atomic<size_t> covered{0};
+  covered = 0;
   sched.ParallelFor(0, 512, 16, [&](size_t lo, size_t hi) {
     covered.fetch_add(hi - lo, std::memory_order_relaxed);
   });
   EXPECT_EQ(covered.load(), 512u);
+}
+
+// Spins until `flag` is set, for at most 5 s, so a stalled chunk cannot hang
+// the suite when no helper shows up.
+void AwaitFlag(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!flag.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+TEST(TaskScheduler, ExceptionOnHelperThreadIsRethrown) {
+  // Forces the throw onto a helper rather than the submitter — the case
+  // where a leak would escape the episode and std::terminate the process —
+  // and checks it is rethrown on the submitting thread.
+  TaskScheduler sched(4);
+  const std::thread::id submitter = std::this_thread::get_id();
+  std::atomic<bool> helper_threw{false};
+  try {
+    sched.ParallelFor(0, 1000, 1, [&](size_t, size_t) {
+      if (std::this_thread::get_id() != submitter) {
+        helper_threw.store(true, std::memory_order_release);
+        throw std::runtime_error("helper boom");
+      }
+      // Submitter chunks stall until a helper has thrown, so the submitter
+      // cannot drain the range single-handedly.
+      AwaitFlag(helper_threw);
+    });
+    FAIL() << "expected the helper exception on the submitting thread";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "helper boom");
+  }
+  EXPECT_TRUE(helper_threw.load());
 }
 
 TEST(TaskScheduler, InRegionTaggedTracksNesting) {
@@ -121,6 +240,38 @@ TEST(TaskScheduler, InRegionTaggedTracksNesting) {
       if (!TaskScheduler::InRegionTagged(&tag_a)) wrong.fetch_add(1);
     }, &tag_b);
   }, &tag_a);
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_FALSE(TaskScheduler::InRegionTagged(&tag_a));
+  EXPECT_FALSE(TaskScheduler::InRegionTagged(&tag_b));
+}
+
+TEST(TaskScheduler, StolenInnerChunkSeesEnclosingTag) {
+  // A helper that steals an inner chunk must see the tags of every episode
+  // enclosing the inner submitter, not only its own thread's. The inner
+  // submitter stalls in its own chunk until another thread has run one of
+  // the inner chunks, so a helper is sure to take part. Only the first outer
+  // chunk submits: whichever threads run the two outer chunks, one worker
+  // then stays free to help (a second stalled submitter could leave none).
+  TaskScheduler sched(3);
+  int tag_a = 0, tag_b = 0;
+  std::atomic<int> wrong{0};
+  std::atomic<int> helped_chunks{0};
+  sched.ParallelFor(0, 2, 1, [&](size_t lo, size_t) {
+    if (lo != 0) return;
+    const std::thread::id submitter = std::this_thread::get_id();
+    std::atomic<bool> helped{false};
+    sched.ParallelFor(0, 8, 1, [&](size_t, size_t) {
+      if (std::this_thread::get_id() == submitter) {
+        AwaitFlag(helped);
+      } else {
+        helped_chunks.fetch_add(1);
+        helped.store(true, std::memory_order_release);
+      }
+      if (!TaskScheduler::InRegionTagged(&tag_a)) wrong.fetch_add(1);
+      if (!TaskScheduler::InRegionTagged(&tag_b)) wrong.fetch_add(1);
+    }, &tag_b);
+  }, &tag_a);
+  EXPECT_GT(helped_chunks.load(), 0);
   EXPECT_EQ(wrong.load(), 0);
   EXPECT_FALSE(TaskScheduler::InRegionTagged(&tag_a));
   EXPECT_FALSE(TaskScheduler::InRegionTagged(&tag_b));
@@ -287,6 +438,112 @@ TEST(TaskSchedulerStress, RandomizedTenantThreadInterleavings) {
     }
     for (auto& w : workers) w.join();
     EXPECT_EQ(mismatches.load(), 0) << threads << " threads";
+  }
+}
+
+// The ParallelFor contract as the gang-scheduled ThreadPool first pinned it
+// down. TaskScheduler replaced that pool and inherits the contract, so the
+// cases run against it under their original suite name.
+
+TEST(ThreadPool, ConstructionAndTeardown) {
+  // Schedulers of every small size come up and wind down cleanly, including
+  // the degenerate single-thread one that owns no workers.
+  for (int n = 1; n <= 8; ++n) {
+    TaskScheduler sched(n);
+    EXPECT_EQ(sched.num_threads(), n);
+    EXPECT_FALSE(TaskScheduler::InRegionTagged(&sched));
+  }
+}
+
+TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
+  TaskScheduler sched(4);
+  std::vector<std::atomic<int>> hits(10000);
+  sched.ParallelFor(0, hits.size(), 64, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, GrainOneCoversEveryIndex) {
+  TaskScheduler sched(3);
+  std::vector<std::atomic<int>> hits(257);
+  sched.ParallelFor(0, hits.size(), 1, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPool, GrainZeroIsTreatedAsOne) {
+  TaskScheduler sched(2);
+  std::atomic<size_t> covered{0};
+  sched.ParallelFor(0, 100, 0, [&](size_t lo, size_t hi) {
+    covered.fetch_add(hi - lo, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(covered.load(), 100u);
+}
+
+TEST(ThreadPool, ChunkBoundariesAreGrainMultiples) {
+  TaskScheduler sched(4);
+  const size_t grain = 64;
+  std::mutex mu;
+  std::vector<std::pair<size_t, size_t>> chunks;
+  sched.ParallelFor(0, 10000, grain, [&](size_t lo, size_t hi) {
+    std::lock_guard<std::mutex> g(mu);
+    chunks.emplace_back(lo, hi);
+  });
+  size_t total = 0;
+  for (const auto& [lo, hi] : chunks) {
+    EXPECT_EQ(lo % grain, 0u);
+    EXPECT_TRUE(hi % grain == 0 || hi == 10000u);
+    total += hi - lo;
+  }
+  EXPECT_EQ(total, 10000u);
+}
+
+TEST(ThreadPool, ExceptionPropagatesToCaller) {
+  TaskScheduler sched(4);
+  EXPECT_THROW(
+      sched.ParallelFor(0, 1000, 1,
+                        [&](size_t lo, size_t) {
+                          if (lo >= 500) throw std::runtime_error("boom");
+                        }),
+      std::runtime_error);
+}
+
+TEST(ThreadPool, ExceptionStillRunsAllChunks) {
+  TaskScheduler sched(4);
+  std::atomic<size_t> covered{0};
+  try {
+    sched.ParallelFor(0, 1000, 1, [&](size_t lo, size_t hi) {
+      covered.fetch_add(hi - lo, std::memory_order_relaxed);
+      if (lo == 0) throw std::runtime_error("first chunk fails");
+    });
+    FAIL() << "expected the body exception to be rethrown";
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(covered.load(), 1000u);
+}
+
+TEST(ThreadPool, DeterministicSumRegardlessOfThreads) {
+  // The canonical usage pattern: disjoint chunks writing disjoint slots.
+  const size_t n = 100000;
+  std::vector<uint64_t> reference(n);
+  std::iota(reference.begin(), reference.end(), 0);
+  for (int threads : {1, 2, 4, 8}) {
+    TaskScheduler sched(threads);
+    std::vector<uint64_t> out(n, 0);
+    sched.ParallelFor(0, n, 64, [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) out[i] = i;
+    });
+    EXPECT_EQ(out, reference) << threads << " threads";
   }
 }
 
