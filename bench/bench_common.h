@@ -17,6 +17,7 @@
 #include "metrics/report.h"
 #include "obs/metrics.h"
 #include "obs/metrics_server.h"
+#include "util/env.h"
 #include "workload/scenarios.h"
 
 namespace rudolf {
@@ -24,12 +25,8 @@ namespace bench {
 
 /// Default stream size for the figure benches; override with RUDOLF_BENCH_N.
 inline size_t BenchRows(size_t fallback = 60000) {
-  const char* env = std::getenv("RUDOLF_BENCH_N");
-  if (env != nullptr) {
-    size_t n = static_cast<size_t>(std::strtoull(env, nullptr, 10));
-    if (n > 0) return n;
-  }
-  return fallback;
+  std::optional<int64_t> n = EnvInt("RUDOLF_BENCH_N", 1, int64_t{1} << 32);
+  return n ? static_cast<size_t>(*n) : fallback;
 }
 
 /// Prints the bench banner with the paper reference and expected shape.
@@ -130,14 +127,13 @@ class LiveMetricsScope {
 
   ~LiveMetricsScope() {
     if (server_ == nullptr) return;
-    if (const char* env = std::getenv("RUDOLF_METRICS_HOLD_MS")) {
-      char* end = nullptr;
-      long ms = std::strtol(env, &end, 10);
-      if (end != env && ms > 0) {
-        std::printf("[metrics-server] holding for %ld ms\n", ms);
-        std::fflush(stdout);
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-      }
+    // Up to one hour.
+    int64_t ms = EnvInt("RUDOLF_METRICS_HOLD_MS", 0, 3600000).value_or(0);
+    if (ms > 0) {
+      std::printf("[metrics-server] holding for %lld ms\n",
+                  static_cast<long long>(ms));
+      std::fflush(stdout);
+      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
     }
     server_->Stop();
   }

@@ -12,7 +12,7 @@
 //
 //   RUDOLF_BENCH_N=...               rows (default 400,000)
 //   RUDOLF_PIPELINE_WORKERS / RUDOLF_PIPELINE_QUEUE  pipeline sizing
-//   RUDOLF_THREADS / RUDOLF_INDEX    eval config of the refinement rounds
+//   RUDOLF_THREADS                   eval threads of the refinement rounds
 //   RUDOLF_BENCH_JSON_DIR=..         where BENCH_pipeline_throughput.json lands
 
 #include <algorithm>

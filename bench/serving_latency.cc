@@ -68,8 +68,11 @@ Rule AnchoredRule(const Relation& rel, Rng* rng) {
 bool ServingMatchesBatch(const ServingEngine& engine, const Relation& rel,
                          const RuleSet& rules, size_t sample) {
   const std::vector<RuleId> ids = rules.LiveIds();
-  RuleEvaluator scan(rel, sample, EvalOptions{1, /*use_index=*/false});
-  std::vector<Bitset> bitmaps = scan.EvalRules(rules, ids);
+  RuleEvaluator scan(rel, sample, EvalOptions{1});
+  std::vector<Bitset> bitmaps(ids.size(), Bitset(sample));
+  for (size_t k = 0; k < ids.size(); ++k) {
+    scan.EvalRuleRange(rules.Get(ids[k]), 0, sample, &bitmaps[k]);
+  }
   Decision d;
   for (size_t r = 0; r < sample; ++r) {
     std::vector<RuleId> expected;

@@ -12,7 +12,7 @@
 // every row's cover count, and the maintained label totals.
 //
 //   RUDOLF_BENCH_N=...       rows (default 160,000 → 100k start, 1k batches)
-//   RUDOLF_THREADS / RUDOLF_INDEX  override the eval config
+//   RUDOLF_THREADS           overrides the eval thread count
 //   RUDOLF_BENCH_JSON_DIR=.. where BENCH_streaming_rounds.json lands
 
 #include <chrono>
@@ -94,7 +94,7 @@ int main() {
   RuleSet rules = SynthesizeInitialRules(dataset);
   std::printf("rules live: %zu\n\n", rules.size());
 
-  EvalOptions eval;  // defaults; RUDOLF_THREADS / RUDOLF_INDEX override
+  EvalOptions eval;  // defaults; RUDOLF_THREADS overrides
   CaptureTracker persistent(*relation, rules, start_prefix, eval);
 
   std::printf("%5s  %9s  %12s  %12s  %9s\n", "round", "prefix", "extend (ms)",

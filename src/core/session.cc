@@ -166,8 +166,8 @@ SessionStats RefinementSession::Refine(size_t prefix_rows, RuleSet* rules,
   if (options_.serving != nullptr && log->size() != edits_at_last_publish) {
     options_.serving->Publish(*rules);
   }
-  if (tracker_ != nullptr && tracker_->evaluator().condition_index() != nullptr) {
-    stats.cache = tracker_->evaluator().condition_index()->cache_stats();
+  if (tracker_ != nullptr) {
+    stats.cache = tracker_->evaluator().condition_index().cache_stats();
   }
   stats.expert_seconds =
       stats.generalize.expert_seconds + stats.specialize.expert_seconds;
@@ -208,8 +208,8 @@ CaptureTracker* RefinementSession::AcquireTracker(size_t prefix,
                   tracker_->prefix_rows() <= prefix &&
                   SameRuleSet(*tracker_rules_, rules);
   // SessionStats stays locally accounted (registry totals are process-wide
-  // and would cross-contaminate concurrent sessions); the registry gets a
-  // mirror of the same events for dashboards and bench sidecars.
+  // and would cross-contaminate concurrent sessions); the registry's view of
+  // the same events is CaptureTracker's own tracker.builds / tracker.extends.
   if (reusable) {
     if (tracker_->prefix_rows() < prefix) {
       auto start = std::chrono::steady_clock::now();
@@ -217,10 +217,6 @@ CaptureTracker* RefinementSession::AcquireTracker(size_t prefix,
       double seconds = SecondsSince(start);
       stats->extend_seconds += seconds;
       ++stats->tracker_extends;
-      RUDOLF_COUNTER_INC("session.tracker.extends");
-      obs::MetricsRegistry::Default()
-          .GetHistogram("session.tracker.extend.seconds")
-          ->Record(seconds);
     }
     return tracker_.get();
   }
@@ -230,10 +226,6 @@ CaptureTracker* RefinementSession::AcquireTracker(size_t prefix,
   double seconds = SecondsSince(start);
   stats->rebuild_seconds += seconds;
   ++stats->tracker_rebuilds;
-  RUDOLF_COUNTER_INC("session.tracker.rebuilds");
-  obs::MetricsRegistry::Default()
-      .GetHistogram("session.tracker.rebuild.seconds")
-      ->Record(seconds);
   SnapshotRules(rules);
   return tracker_.get();
 }

@@ -2,35 +2,33 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <chrono>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace rudolf {
 
+namespace {
+
+constexpr int64_t kMaxTenants = int64_t{1} << 20;
+// Largest budget in MB whose byte count still fits a size_t.
+constexpr int64_t kMaxMemoryMb =
+    static_cast<int64_t>(std::numeric_limits<size_t>::max() >> 20);
+
+}  // namespace
+
 size_t ResolveFleetTenants(size_t requested) {
-  if (const char* env = std::getenv("RUDOLF_FLEET_TENANTS")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) {
-      return static_cast<size_t>(std::min<long>(v, 1 << 20));
-    }
-  }
-  return requested;
+  std::optional<int64_t> v = EnvInt("RUDOLF_FLEET_TENANTS", 1, kMaxTenants);
+  return v ? static_cast<size_t>(*v) : requested;
 }
 
 size_t ResolveFleetMemoryBudget(size_t requested_bytes) {
-  if (const char* env = std::getenv("RUDOLF_FLEET_MEMORY_MB")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 0) {
-      return static_cast<size_t>(v) * (size_t{1} << 20);
-    }
-  }
-  return requested_bytes;
+  std::optional<int64_t> v = EnvInt("RUDOLF_FLEET_MEMORY_MB", 0, kMaxMemoryMb);
+  return v ? static_cast<size_t>(*v) << 20 : requested_bytes;
 }
 
 FleetManager::FleetManager(FleetOptions options)

@@ -12,8 +12,6 @@ namespace rudolf {
 ConditionIndex::ConditionIndex(const Relation& relation, size_t prefix_rows,
                                size_t cache_capacity)
     : relation_(relation),
-      requested_prefix_(prefix_rows),
-      snapshot_rows_(relation.NumRows()),
       prefix_(std::min(prefix_rows, relation.NumRows())),
       numeric_(relation.schema().arity()),
       categorical_(relation.schema().arity()),
@@ -39,20 +37,6 @@ void ConditionIndex::EnsureForRule(const Rule& rule) {
       }
     }
   }
-}
-
-bool ConditionIndex::ReadyForRule(const Rule& rule) const {
-  const Schema& schema = relation_.schema();
-  for (size_t i = 0; i < rule.arity(); ++i) {
-    const AttributeDef& def = schema.attribute(i);
-    if (rule.condition(i).IsTrivial(def)) continue;
-    if (def.kind == AttrKind::kNumeric) {
-      if (numeric_[i] == nullptr) return false;
-    } else {
-      if (categorical_[i] == nullptr) return false;
-    }
-  }
-  return true;
 }
 
 std::shared_ptr<const CachedBitmap> ConditionIndex::ConditionBitmap(
@@ -134,19 +118,6 @@ void ConditionIndex::ExtendTo(size_t new_prefix) {
         });
     prefix_ = new_prefix;
   }
-  if (requested_prefix_ < prefix_) requested_prefix_ = prefix_;
-  snapshot_rows_ = relation_.NumRows();
-}
-
-bool ConditionIndex::InvalidateIfGrown() {
-  if (relation_.NumRows() == snapshot_rows_) return false;
-  RUDOLF_COUNTER_INC("index.invalidations");
-  snapshot_rows_ = relation_.NumRows();
-  prefix_ = std::min(requested_prefix_, snapshot_rows_);
-  std::fill(numeric_.begin(), numeric_.end(), nullptr);
-  std::fill(categorical_.begin(), categorical_.end(), nullptr);
-  cache_.Clear();
-  return true;
 }
 
 size_t ConditionIndex::ApproxMemoryBytes() const {

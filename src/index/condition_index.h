@@ -8,21 +8,19 @@
 // Threading contract (mirrors RuleEvaluator::EnsureMasks): EnsureForRule is
 // the only mutating entry point for the attribute indexes and must run on
 // the coordinating thread before any parallel evaluation touching the rule;
-// ConditionBitmap and ReadyForRule are safe from worker threads afterwards
-// (the LRU cache is internally locked).
+// ConditionBitmap is safe from worker threads afterwards (the LRU cache is
+// internally locked).
 //
 // Append/delta contract: indexes and cached bitmaps describe the first
-// prefix_rows() rows as of the last (re)build or extension. A RuleEvaluator
-// bound to a fixed prefix never goes stale. A long-lived index over an
-// advancing stream has two maintenance paths:
-//   * ExtendTo(new_prefix) — the delta path for pure appends: attribute
-//     indexes absorb only the new rows (numeric via a sorted delta segment,
-//     categorical by extending postings in place) and every cached condition
-//     bitmap is extended by scanning just the new row range. Work is
-//     O(batch), results bit-identical to a rebuild.
-//   * InvalidateIfGrown() — the wholesale path, still required after
-//     non-append mutations (SetCell rewrites of already-indexed rows, or a
-//     shrunk relation): drops every index and bitmap and re-binds.
+// prefix_rows() rows as of construction or the last ExtendTo. A
+// RuleEvaluator bound to a fixed prefix never goes stale. An index over an
+// advancing stream follows it with ExtendTo(new_prefix), the delta path for
+// pure appends: attribute indexes absorb only the new rows (numeric via a
+// sorted delta segment, categorical by extending postings in place) and
+// every cached condition bitmap is extended by scanning just the new row
+// range. Work is O(batch), results bit-identical to a rebuild. Rows inside
+// the prefix are never rewritten: Relation::SetCell runs only while a
+// dataset is generated, before any index over it exists.
 
 #ifndef RUDOLF_INDEX_CONDITION_INDEX_H_
 #define RUDOLF_INDEX_CONDITION_INDEX_H_
@@ -55,14 +53,10 @@ class ConditionIndex {
   /// the threading contract above).
   void EnsureForRule(const Rule& rule);
 
-  /// True if every non-trivial condition of the rule has its attribute
-  /// index built — the read-only fast path worker threads may take.
-  bool ReadyForRule(const Rule& rule) const;
-
   /// Capture bitmap of one condition over the prefix: LRU-cached, extracted
   /// from the attribute index on miss, stored dense or compressed by density
-  /// (CachedBitmap). Requires the attribute's index (EnsureForRule /
-  /// ReadyForRule). Thread-safe.
+  /// (CachedBitmap). Requires the attribute's index (EnsureForRule).
+  /// Thread-safe.
   std::shared_ptr<const CachedBitmap> ConditionBitmap(size_t attr,
                                                       const Condition& cond);
 
@@ -73,17 +67,11 @@ class ConditionIndex {
   /// range. O(batch × (built indexes + cached conditions)); bit-identical
   /// to dropping and rebuilding. Serial-only, like EnsureForRule. Only
   /// valid when the relation grew by pure appends since the last
-  /// (re)build/extension — after SetCell rewrites use InvalidateIfGrown.
-  /// A `new_prefix` at or below prefix_rows() is a checked no-op (counted
-  /// as `index.extend_to.rejected` when strictly below): the binding
-  /// already covers those rows, and shrinking would corrupt every cached
-  /// bitmap.
+  /// extension. A `new_prefix` at or below prefix_rows() is a checked
+  /// no-op (counted as `index.extend_to.rejected` when strictly below): the
+  /// binding already covers those rows, and shrinking would corrupt every
+  /// cached bitmap.
   void ExtendTo(size_t new_prefix);
-
-  /// Re-binds to the relation's current rows if it has grown (or shrunk)
-  /// since the last (re)build, dropping every index and cached bitmap.
-  /// Returns true if an invalidation happened.
-  bool InvalidateIfGrown();
 
   ConditionCacheStats cache_stats() const { return cache_.stats(); }
 
@@ -98,8 +86,6 @@ class ConditionIndex {
 
  private:
   const Relation& relation_;
-  size_t requested_prefix_;
-  size_t snapshot_rows_;  // relation.NumRows() at the last (re)build
   size_t prefix_;
   std::vector<std::unique_ptr<NumericAttributeIndex>> numeric_;
   std::vector<std::unique_ptr<CategoricalAttributeIndex>> categorical_;

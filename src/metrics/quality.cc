@@ -52,10 +52,14 @@ PredictionQuality EvaluateOnRange(const Relation& relation, const RuleSet& rules
   PredictionQuality q;
   if (begin >= end) return q;
 
-  // Evaluate each rule once over the full prefix [0, end) and OR the
-  // captures; then count within [begin, end).
+  // A rule captures a row from that row's own cells, so scoring [begin, end)
+  // scans only those rows: each live rule ORs its range captures into one
+  // bitmap, and no attribute index is built.
   RuleEvaluator evaluator(relation, end);
-  Bitset captured = evaluator.EvalRuleSet(rules);
+  Bitset captured(end);
+  for (RuleId id : rules.LiveIds()) {
+    evaluator.EvalRuleRange(rules.Get(id), begin, end, &captured);
+  }
   for (size_t r = begin; r < end; ++r) {
     ++q.rows;
     bool hit = captured.Test(r);

@@ -9,6 +9,8 @@
 #include <map>
 #include <utility>
 
+#include "util/env.h"
+
 namespace rudolf {
 namespace obs {
 
@@ -261,14 +263,10 @@ SnapshotExporter* g_flight = nullptr;
 MetricsRegistry* g_registry = nullptr;
 std::atomic<bool> g_shutdown_done{false};
 
-int EnvInt(const char* name, int fallback) {
-  if (const char* env = std::getenv(name)) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<int>(v);
-  }
-  return fallback;
-}
+// Ranges of RUDOLF_METRICS_INTERVAL_MS (one day) and
+// RUDOLF_METRICS_FLIGHT_WINDOWS.
+constexpr int64_t kMaxIntervalMs = int64_t{24} * 60 * 60 * 1000;
+constexpr int64_t kMaxRingWindows = int64_t{1} << 20;
 
 }  // namespace
 
@@ -290,9 +288,12 @@ void InitDefaultExportFromEnv(MetricsRegistry* registry) {
   }
   if (!flight_path.empty()) {
     SnapshotExporterOptions options;
-    options.interval_ms = EnvInt("RUDOLF_METRICS_INTERVAL_MS", 1000);
+    options.interval_ms = static_cast<int>(
+        EnvInt("RUDOLF_METRICS_INTERVAL_MS", 1, kMaxIntervalMs)
+            .value_or(options.interval_ms));
     options.ring_windows = static_cast<size_t>(
-        EnvInt("RUDOLF_METRICS_FLIGHT_WINDOWS", 512));
+        EnvInt("RUDOLF_METRICS_FLIGHT_WINDOWS", 1, kMaxRingWindows)
+            .value_or(static_cast<int64_t>(options.ring_windows)));
     options.flight_path = std::move(flight_path);
     g_flight = new SnapshotExporter(registry, options);
     g_flight->Start();

@@ -1,10 +1,10 @@
 #include "pipeline/ingest_pipeline.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace rudolf {
@@ -13,18 +13,18 @@ namespace {
 
 constexpr size_t kNoTarget = static_cast<size_t>(-1);
 
+// Ranges of RUDOLF_PIPELINE_WORKERS and RUDOLF_PIPELINE_QUEUE.
+constexpr int64_t kMaxWorkers = 1024;
+constexpr int64_t kMaxQueueCapacity = int64_t{1} << 20;
+
 IngestPipelineOptions ResolveOptions(IngestPipelineOptions options) {
-  if (const char* env = std::getenv("RUDOLF_PIPELINE_WORKERS")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) {
-      options.num_workers = static_cast<int>(std::min<long>(v, 1024));
-    }
+  if (std::optional<int64_t> v =
+          EnvInt("RUDOLF_PIPELINE_WORKERS", 1, kMaxWorkers)) {
+    options.num_workers = static_cast<int>(*v);
   }
-  if (const char* env = std::getenv("RUDOLF_PIPELINE_QUEUE")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) options.queue_capacity = static_cast<size_t>(v);
+  if (std::optional<int64_t> v =
+          EnvInt("RUDOLF_PIPELINE_QUEUE", 1, kMaxQueueCapacity)) {
+    options.queue_capacity = static_cast<size_t>(*v);
   }
   if (options.num_workers < 1) options.num_workers = 1;
   if (options.queue_capacity == 0) options.queue_capacity = 1;

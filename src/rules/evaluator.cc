@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -13,12 +11,10 @@ namespace rudolf {
 
 namespace {
 
-// Row-block grain of the parallel columnar scan. A multiple of 64, so block
-// boundaries are Bitset-word-aligned and blocks never share an output word.
+// Row-block grain of the parallel union in EvalRuleSet. A multiple of 64,
+// so block boundaries are Bitset-word-aligned and blocks never share an
+// output word.
 constexpr size_t kRowBlockGrain = size_t{1} << 14;
-
-// Below this prefix size the fork-join overhead beats the scan itself.
-constexpr size_t kMinParallelRows = size_t{1} << 15;
 
 // Below this block size the per-row survivors loop beats the kernel path
 // (mask buffers + a full column pass per condition).
@@ -26,23 +22,13 @@ constexpr size_t kMinVectorRows = 128;
 
 }  // namespace
 
-bool ResolveUseIndex(bool requested) {
-  if (const char* env = std::getenv("RUDOLF_INDEX")) {
-    if (std::strcmp(env, "0") == 0) return false;
-    if (std::strcmp(env, "1") == 0) return true;
-  }
-  return requested;
-}
-
 RuleEvaluator::RuleEvaluator(const Relation& relation, size_t prefix_rows,
                              EvalOptions options)
     : relation_(relation),
       num_rows_(std::min(prefix_rows, relation.NumRows())),
       num_threads_(ResolveNumThreads(options.num_threads)),
       sched_(num_threads_ > 1 ? TaskScheduler::Shared(num_threads_) : nullptr),
-      index_(ResolveUseIndex(options.use_index)
-                 ? std::make_unique<ConditionIndex>(relation, num_rows_)
-                 : nullptr) {}
+      index_(std::make_unique<ConditionIndex>(relation, num_rows_)) {}
 
 void RuleEvaluator::ExtendPrefix(size_t new_prefix) {
   new_prefix = std::min(new_prefix, relation_.NumRows());
@@ -51,7 +37,7 @@ void RuleEvaluator::ExtendPrefix(size_t new_prefix) {
   RUDOLF_SPAN("eval.extend_prefix");
   RUDOLF_COUNTER_INC("eval.extend_prefix");
   num_rows_ = new_prefix;
-  if (index_ != nullptr) index_->ExtendTo(new_prefix);
+  index_->ExtendTo(new_prefix);
 }
 
 void RuleEvaluator::EvalRuleRange(const Rule& rule, size_t lo, size_t hi,
@@ -202,8 +188,7 @@ void RuleEvaluator::EvalRuleBlockVectorized(const Rule& rule,
                                             Bitset* out) const {
   const Schema& schema = relation_.schema();
   RUDOLF_COUNTER_INC("eval.rule.vectorized");
-  // Ragged head up to the first word boundary: per row. Parallel callers
-  // partition on word-aligned boundaries, so this is empty on the hot path.
+  // Ragged head up to the first word boundary: per row (at most 63 rows).
   size_t alo = std::min((lo + 63) & ~size_t{63}, hi);
   for (size_t r = lo; r < alo; ++r) {
     bool ok = true;
@@ -272,38 +257,14 @@ Bitset RuleEvaluator::EvalRule(const Rule& rule) const {
   assert(rule.arity() == relation_.schema().arity());
   RUDOLF_SPAN("eval.rule");
   std::vector<size_t> conditions = NonTrivialConditions(rule);
-  Bitset out(num_rows_);
-  if (conditions.empty()) {
-    out.Fill(true);
-    return out;
+  if (conditions.empty()) return Bitset(num_rows_, /*value=*/true);
+  // Attribute indexes may only be built from the coordinating thread; calls
+  // inside this evaluator's own fan-out (EvalRules) find them pre-built.
+  if (sched_ == nullptr || !TaskScheduler::InRegionTagged(this)) {
+    index_->EnsureForRule(rule);
   }
-  if (index_ != nullptr) {
-    // Attribute indexes may only be built from the coordinating thread;
-    // calls inside this evaluator's own fan-out (EvalRules) find them
-    // pre-built and take the read-only path, or fall back to the
-    // (bit-identical) scan.
-    if (sched_ == nullptr || !TaskScheduler::InRegionTagged(this)) {
-      index_->EnsureForRule(rule);
-    }
-    if (index_->ReadyForRule(rule)) {
-      RUDOLF_COUNTER_INC("eval.rule.indexed");
-      return EvalRuleIndexed(rule, conditions);
-    }
-  }
-  RUDOLF_COUNTER_INC("eval.rule.scan");
-  if (sched_ != nullptr && num_rows_ >= kMinParallelRows &&
-      !TaskScheduler::InRegionTagged(this)) {
-    EnsureMasks(rule);
-    sched_->ParallelFor(
-        0, num_rows_, kRowBlockGrain,
-        [&](size_t lo, size_t hi) {
-          EvalRuleBlock(rule, conditions, lo, hi, &out);
-        },
-        /*tag=*/this);
-  } else {
-    EvalRuleBlock(rule, conditions, 0, num_rows_, &out);
-  }
-  return out;
+  RUDOLF_COUNTER_INC("eval.rule.indexed");
+  return EvalRuleIndexed(rule, conditions);
 }
 
 std::vector<Bitset> RuleEvaluator::EvalRules(const RuleSet& rules,
@@ -311,15 +272,9 @@ std::vector<Bitset> RuleEvaluator::EvalRules(const RuleSet& rules,
   std::vector<Bitset> bitmaps(ids.size());
   if (sched_ != nullptr && ids.size() > 1 &&
       !TaskScheduler::InRegionTagged(this)) {
-    // Serially warm the condition index (or the mask cache on the scan
-    // path) so the helpers' EvalRule calls only read shared state.
-    for (RuleId id : ids) {
-      if (index_ != nullptr) {
-        index_->EnsureForRule(rules.Get(id));
-      } else {
-        EnsureMasks(rules.Get(id));
-      }
-    }
+    // Serially warm the condition index so the helpers' EvalRule calls
+    // only read shared state.
+    for (RuleId id : ids) index_->EnsureForRule(rules.Get(id));
     sched_->ParallelFor(
         0, ids.size(), 1,
         [&](size_t lo, size_t hi) {
@@ -393,14 +348,13 @@ LabelCounts RuleEvaluator::RuleCountsVisible(const Rule& rule) const {
 }
 
 size_t RuleEvaluator::ApproxMemoryBytes() const {
-  size_t bytes = 0;
-  if (index_ != nullptr) bytes += index_->ApproxMemoryBytes();
+  size_t bytes = index_->ApproxMemoryBytes();
   for (const auto& entry : mask_cache_) bytes += entry.second.capacity();
   return bytes;
 }
 
 void RuleEvaluator::ReleaseCachedBitmaps() {
-  if (index_ != nullptr) index_->ReleaseCachedBitmaps();
+  index_->ReleaseCachedBitmaps();
 }
 
 }  // namespace rudolf

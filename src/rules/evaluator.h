@@ -2,20 +2,25 @@
 // capture bitmaps (one bit per row) and label-partitioned counts — the raw
 // material of the benefit term α·ΔF + β·ΔL + γ·ΔR.
 //
+// Two evaluation paths, one per job, with nothing to choose between them:
+//   * Whole-prefix rule captures (EvalRule / EvalRules / EvalRuleSet) go
+//     through the condition index (src/index/): each non-trivial
+//     condition's capture bitmap is extracted once from a per-attribute
+//     index and LRU-cached, and a rule is the intersection of its
+//     conditions' bitmaps — so candidate rules differing from an evaluated
+//     rule in one condition (split sides, minimal generalizations) cost one
+//     extraction instead of a full scan.
+//   * Row ranges (EvalRuleRange / EvalRulesRange) go through the columnar
+//     scan, touching only the rows of the range: the append path of the
+//     capture tracker and per-window quality scoring.
+// Both produce the bits Rule::MatchesRow defines; see DESIGN.md "Condition
+// index & cache".
+//
 // Evaluation optionally runs on the shared work-stealing TaskScheduler (see
-// EvalOptions): rule sets parallelize across rules, single rules across
-// word-aligned row blocks of the columnar scan. Both decompositions produce
+// EvalOptions), parallel across rules. The decomposition produces
 // bit-identical bitmaps to the serial path — see DESIGN.md "Parallel
 // evaluation pipeline" — and episodes issued by concurrent evaluators
 // (fleet tenants) interleave freely on the one scheduler.
-//
-// By default rules are evaluated through the condition index (src/index/):
-// each non-trivial condition's capture bitmap is extracted once from a
-// per-attribute index and LRU-cached, and a rule is the intersection of its
-// conditions' bitmaps — so candidate rules differing from an evaluated rule
-// in one condition (split sides, minimal generalizations) cost one
-// extraction instead of a full scan. The indexed path is bit-identical to
-// the scan; see DESIGN.md "Condition index & cache".
 
 #ifndef RUDOLF_RULES_EVALUATOR_H_
 #define RUDOLF_RULES_EVALUATOR_H_
@@ -41,17 +46,7 @@ struct EvalOptions {
   /// configured, the `RUDOLF_THREADS` environment variable overrides it
   /// (see ResolveNumThreads).
   int num_threads = 1;
-  /// Condition-indexed evaluation (default on): rule captures are computed
-  /// as intersections of LRU-cached per-condition bitmaps backed by
-  /// per-attribute indexes (src/index/), bit-identical to the columnar
-  /// scan. The `RUDOLF_INDEX` environment variable (0/1) overrides it (see
-  /// ResolveUseIndex).
-  bool use_index = true;
 };
-
-/// The effective indexed-evaluation setting: `RUDOLF_INDEX=0|1` wins over
-/// the requested value.
-bool ResolveUseIndex(bool requested);
 
 /// Number of captured rows per label class.
 struct LabelCounts {
@@ -107,8 +102,7 @@ class RuleEvaluator {
                       size_t lo, size_t hi,
                       const std::vector<Bitset*>& outs) const;
 
-  /// Rows captured by a single rule. Parallel across row blocks for large
-  /// prefixes when the evaluator was built with num_threads > 1.
+  /// Rows captured by a single rule, through the condition index.
   Bitset EvalRule(const Rule& rule) const;
 
   /// Rows captured by the union of all live rules. Parallel across rules
@@ -130,9 +124,8 @@ class RuleEvaluator {
   /// Convenience: counts of a rule's captures under visible labels.
   LabelCounts RuleCountsVisible(const Rule& rule) const;
 
-  /// The condition index behind the indexed evaluation path; null when
-  /// indexing is disabled (EvalOptions::use_index / RUDOLF_INDEX=0).
-  const ConditionIndex* condition_index() const { return index_.get(); }
+  /// The condition index behind whole-prefix evaluation.
+  const ConditionIndex& condition_index() const { return *index_; }
 
   /// Approximate heap bytes held by the evaluator's caches: the condition
   /// index (attribute indexes + bitmap cache) and the concept-mask cache.
@@ -142,8 +135,7 @@ class RuleEvaluator {
 
   /// Drops every cached condition bitmap (tier-1 fleet eviction); attribute
   /// indexes and concept masks stay, and later evaluations re-extract on
-  /// demand, bit-identically. No-op when indexing is disabled. Call only
-  /// from a quiescent session.
+  /// demand, bit-identically. Call only from a quiescent session.
   void ReleaseCachedBitmaps();
 
  private:
@@ -153,7 +145,7 @@ class RuleEvaluator {
                                           ConceptId concept_id) const;
 
   // Serially materializes every concept mask (and warms the ontology
-  // caches) the rule's conditions need, so parallel scans only read
+  // caches) the rule's conditions need, so parallel range scans only read
   // mask_cache_. Must be called before any parallel region touching `rule`.
   void EnsureMasks(const Rule& rule) const;
 
@@ -163,8 +155,7 @@ class RuleEvaluator {
   // The scan, restricted to rows [lo, hi): sets the bits of the rows
   // matching every condition in `out`. Large blocks take the vectorized
   // kernel path (EvalRuleBlockVectorized), small ones a per-row survivors
-  // loop; both produce identical bits. With word-aligned [lo, hi)
-  // partitions, concurrent calls write disjoint words of `out`.
+  // loop; both produce identical bits.
   void EvalRuleBlock(const Rule& rule, const std::vector<size_t>& conditions,
                      size_t lo, size_t hi, Bitset* out) const;
 
@@ -176,7 +167,7 @@ class RuleEvaluator {
                                size_t lo, size_t hi, Bitset* out) const;
 
   // The indexed path: intersection of the conditions' cached bitmaps.
-  // Requires index_->ReadyForRule(rule).
+  // Requires the conditions' attribute indexes (ConditionIndex::EnsureForRule).
   Bitset EvalRuleIndexed(const Rule& rule,
                          const std::vector<size_t>& conditions) const;
 
@@ -189,10 +180,11 @@ class RuleEvaluator {
   // coordinating call — even when this whole evaluator runs nested inside
   // some other object's episode (fleet mode).
   TaskScheduler* sched_;
-  // Condition index + bitmap cache of the indexed evaluation path; null
-  // when disabled. Attribute indexes inside are built lazily, only from the
-  // coordinating thread (mirroring mask_cache_'s EnsureMasks discipline).
-  mutable std::unique_ptr<ConditionIndex> index_;
+  // Condition index + bitmap cache of whole-prefix evaluation; never null
+  // (a pointer only so evaluators stay movable). Attribute indexes inside
+  // are built lazily, only from the coordinating thread (mirroring
+  // mask_cache_'s EnsureMasks discipline).
+  std::unique_ptr<ConditionIndex> index_;
   // Memoized concept masks keyed by (ontology pointer, concept id).
   mutable std::vector<std::pair<std::pair<const Ontology*, ConceptId>,
                                 std::vector<uint8_t>>>

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
-#include <cstdlib>
 #include <exception>
-#include <string>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace rudolf {
@@ -132,7 +130,7 @@ using sched_internal::RegionFrame;
 constexpr size_t kChunksPerThread = 4;
 
 // Largest RUDOLF_THREADS value ResolveNumThreads accepts.
-constexpr long kMaxThreads = 1024;
+constexpr int64_t kMaxThreads = 1024;
 
 thread_local RegionFrame* tls_region = nullptr;
 // Tenant set by TenantScope outside any running chunk.
@@ -145,24 +143,8 @@ thread_local int tls_worker_index = -1;
 }  // namespace
 
 int ResolveNumThreads(int requested) {
-  if (const char* env = std::getenv("RUDOLF_THREADS")) {
-    char* end = nullptr;
-    errno = 0;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && errno == 0 && v >= 1 &&
-        v <= kMaxThreads) {
-      return static_cast<int>(v);
-    }
-    // Every evaluator resolves its width, so warn once per distinct value.
-    static std::mutex* mu = new std::mutex;
-    static std::string* warned = new std::string;
-    std::lock_guard<std::mutex> lock(*mu);
-    if (*warned != env) {
-      *warned = env;
-      RUDOLF_LOG(Warning) << "ignoring RUDOLF_THREADS=\"" << env
-                          << "\": expected an integer in [1, " << kMaxThreads
-                          << "]";
-    }
+  if (std::optional<int64_t> v = EnvInt("RUDOLF_THREADS", 1, kMaxThreads)) {
+    return static_cast<int>(*v);
   }
   if (requested == 0) {
     unsigned hw = std::thread::hardware_concurrency();

@@ -46,8 +46,8 @@ using TenantId = uint32_t;
 ///   * `RUDOLF_THREADS=<n>` overrides everything — the switch for running an
 ///     unmodified binary (or the whole test suite) parallel. The whole
 ///     value must be an integer in [1, 1024]; anything else logs a warning
-///     naming the value (once per distinct value) and leaves the request to
-///     the rules below;
+///     naming the value (not repeated while the value stays the same) and
+///     leaves the request to the rules below;
 ///   * `requested == 0` means "all hardware threads";
 ///   * `requested < 0` degrades to 1 (serial);
 ///   * otherwise the request stands.

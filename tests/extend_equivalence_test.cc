@@ -159,8 +159,9 @@ TEST(ConditionIndexExtend, KeepsCacheAndMatchesRebuild) {
 
 // Range-boundary coverage for the delta pass: EvalRulesRange at lo = 0 and
 // hi = relation size (plus empty ranges at both ends) must agree with the
-// full indexed and scan EvalRule bitmaps restricted to the range — the
-// interior-range cases below only exercise 0 < lo < hi < size.
+// full indexed EvalRule bitmaps restricted to the range, and with the
+// row-by-row Rule::MatchesRow semantics — the interior-range cases below
+// only exercise 0 < lo < hi < size.
 TEST(EvalRulesRangeBoundaries, IndexedAndScanAgreeAtZeroAndRelationSize) {
   Scenario s = TinyScenario();
   s.options.num_transactions = 5000;
@@ -173,15 +174,16 @@ TEST(EvalRulesRangeBoundaries, IndexedAndScanAgreeAtZeroAndRelationSize) {
   for (int i = 0; i < 5; ++i) rules.AddRule(RandomRule(rel.schema(), &rng));
   const std::vector<RuleId> ids = rules.LiveIds();
 
-  RuleEvaluator scan(rel, n, EvalOptions{1, false});
-  RuleEvaluator indexed(rel, n, EvalOptions{1, true});
-  RuleEvaluator parallel_eval(rel, n, EvalOptions{4, true});
+  RuleEvaluator serial(rel, n, EvalOptions{1});
+  RuleEvaluator parallel_eval(rel, n, EvalOptions{4});
 
-  // Full bitmaps from both whole-prefix paths (already gated equivalent).
-  std::vector<Bitset> full_scan = scan.EvalRules(rules, ids);
-  std::vector<Bitset> full_indexed = indexed.EvalRules(rules, ids);
+  // Full bitmaps from the whole-prefix indexed path, checked row by row.
+  std::vector<Bitset> full = serial.EvalRules(rules, ids);
   for (size_t k = 0; k < ids.size(); ++k) {
-    ASSERT_EQ(full_scan[k], full_indexed[k]) << "rule " << ids[k];
+    for (size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(full[k].Test(r), rules.Get(ids[k]).MatchesRow(rel, r))
+          << "rule " << ids[k] << " row " << r;
+    }
   }
 
   const std::pair<size_t, size_t> ranges[] = {
@@ -191,7 +193,7 @@ TEST(EvalRulesRangeBoundaries, IndexedAndScanAgreeAtZeroAndRelationSize) {
       {0, 0},         // empty at the low edge
       {n, n},         // empty at the high edge
   };
-  for (const RuleEvaluator* ev : {&scan, &indexed, &parallel_eval}) {
+  for (const RuleEvaluator* ev : {&serial, &parallel_eval}) {
     for (const auto& [lo, hi] : ranges) {
       std::vector<Bitset> outs(ids.size(), Bitset(n));
       std::vector<Bitset*> out_ptrs;
@@ -199,7 +201,7 @@ TEST(EvalRulesRangeBoundaries, IndexedAndScanAgreeAtZeroAndRelationSize) {
       ev->EvalRulesRange(rules, ids, lo, hi, out_ptrs);
       for (size_t k = 0; k < ids.size(); ++k) {
         Bitset expected(n);
-        expected.OrRange(full_scan[k], lo, hi);
+        expected.OrRange(full[k], lo, hi);
         ASSERT_EQ(outs[k], expected)
             << "rule " << ids[k] << " range [" << lo << ", " << hi << ")";
       }
@@ -208,9 +210,8 @@ TEST(EvalRulesRangeBoundaries, IndexedAndScanAgreeAtZeroAndRelationSize) {
 }
 
 // Randomized interleavings of prefix growth, in-prefix relabels, and rule
-// edits: incrementally maintained trackers (serial scan, serial indexed,
-// 4- and 8-thread indexed) must stay bit-identical to a tracker freshly
-// built after every operation.
+// edits: incrementally maintained trackers (serial, 4- and 8-thread) must
+// stay bit-identical to a tracker freshly built after every operation.
 class ExtendEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtendEquivalence,
@@ -228,9 +229,8 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
   RuleSet rules;
   for (int i = 0; i < 4; ++i) rules.AddRule(RandomRule(schema, &rng));
 
-  const EvalOptions kConfigs[] = {
-      EvalOptions{1, false}, EvalOptions{1, true},
-      EvalOptions{4, true}, EvalOptions{8, true}};
+  const EvalOptions kConfigs[] = {EvalOptions{1}, EvalOptions{4},
+                                  EvalOptions{8}};
   size_t prefix = 1500;
   std::vector<std::unique_ptr<CaptureTracker>> trackers;
   for (const EvalOptions& eval : kConfigs) {
@@ -239,7 +239,7 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
   }
 
   auto check_all = [&](const char* op) {
-    CaptureTracker fresh(rel, rules, prefix, EvalOptions{1, false});
+    CaptureTracker fresh(rel, rules, prefix, EvalOptions{1});
     for (size_t t = 0; t < trackers.size(); ++t) {
       const CaptureTracker& got = *trackers[t];
       ASSERT_EQ(got.prefix_rows(), fresh.prefix_rows()) << op << " cfg " << t;

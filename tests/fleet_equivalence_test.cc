@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <optional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -176,12 +178,51 @@ TEST(FleetManagerBasics, StatsAndNames) {
 }
 
 TEST(FleetEnvKnobs, ResolversParseAndClamp) {
-  if (std::getenv("RUDOLF_FLEET_TENANTS") == nullptr) {
-    EXPECT_EQ(ResolveFleetTenants(64), 64u);
+  // Restores whatever values the suite was started with.
+  std::optional<std::string> saved_tenants, saved_mb;
+  if (const char* env = std::getenv("RUDOLF_FLEET_TENANTS")) saved_tenants = env;
+  if (const char* env = std::getenv("RUDOLF_FLEET_MEMORY_MB")) saved_mb = env;
+
+  unsetenv("RUDOLF_FLEET_TENANTS");
+  unsetenv("RUDOLF_FLEET_MEMORY_MB");
+  EXPECT_EQ(ResolveFleetTenants(64), 64u);
+  EXPECT_EQ(ResolveFleetMemoryBudget(123), 123u);
+
+  setenv("RUDOLF_FLEET_TENANTS", "8", 1);
+  EXPECT_EQ(ResolveFleetTenants(64), 8u);
+  setenv("RUDOLF_FLEET_TENANTS", "1048576", 1);
+  EXPECT_EQ(ResolveFleetTenants(64), 1048576u);
+  for (const char* bad : {"0", "-1", "8abc", "1048577", "", "many"}) {
+    setenv("RUDOLF_FLEET_TENANTS", bad, 1);
+    EXPECT_EQ(ResolveFleetTenants(64), 64u) << "RUDOLF_FLEET_TENANTS=" << bad;
   }
-  if (std::getenv("RUDOLF_FLEET_MEMORY_MB") == nullptr) {
-    EXPECT_EQ(ResolveFleetMemoryBudget(123), 123u);
+
+  setenv("RUDOLF_FLEET_MEMORY_MB", "4", 1);
+  EXPECT_EQ(ResolveFleetMemoryBudget(123), size_t{4} << 20);
+  setenv("RUDOLF_FLEET_MEMORY_MB", "0", 1);  // 0 = unlimited
+  EXPECT_EQ(ResolveFleetMemoryBudget(123), 0u);
+  // "4x" is not 4 MB, and a budget whose byte count overflows size_t is
+  // rejected rather than wrapped.
+  for (const char* bad : {"4x", "-1", "", "99999999999999", "1e3"}) {
+    setenv("RUDOLF_FLEET_MEMORY_MB", bad, 1);
+    EXPECT_EQ(ResolveFleetMemoryBudget(123), 123u)
+        << "RUDOLF_FLEET_MEMORY_MB=" << bad;
   }
+  const size_t max_mb = std::numeric_limits<size_t>::max() >> 20;
+  setenv("RUDOLF_FLEET_MEMORY_MB", std::to_string(max_mb).c_str(), 1);
+  EXPECT_EQ(ResolveFleetMemoryBudget(123), max_mb << 20);
+  setenv("RUDOLF_FLEET_MEMORY_MB", std::to_string(max_mb + 1).c_str(), 1);
+  EXPECT_EQ(ResolveFleetMemoryBudget(123), 123u);
+
+  auto restore = [](const char* name, const std::optional<std::string>& v) {
+    if (v) {
+      setenv(name, v->c_str(), 1);
+    } else {
+      unsetenv(name);
+    }
+  };
+  restore("RUDOLF_FLEET_TENANTS", saved_tenants);
+  restore("RUDOLF_FLEET_MEMORY_MB", saved_mb);
 }
 
 }  // namespace

@@ -206,9 +206,7 @@ TEST(ConditionIndex, BitmapsMatchRuleSemantics) {
   ConditionIndex index(*ex.relation);
   Rule rule =
       ParseRule(*ex.schema, "amount >= 100 and type <= 'Offline'").ValueOrDie();
-  EXPECT_FALSE(index.ReadyForRule(rule));
   index.EnsureForRule(rule);
-  ASSERT_TRUE(index.ReadyForRule(rule));
 
   Bitset captured(index.prefix_rows());
   captured.Fill(true);
@@ -239,21 +237,19 @@ TEST(ConditionIndex, IndexedEvalHitsCacheOnRepeatedConditions) {
   // served from the condition cache, and the registry's cache counters must
   // observe the same traffic.
   PaperExample ex = MakePaperExample();
-  RuleEvaluator eval(*ex.relation, ex.relation->NumRows(),
-                     EvalOptions{1, /*use_index=*/true});
-  ASSERT_NE(eval.condition_index(), nullptr);
+  RuleEvaluator eval(*ex.relation, ex.relation->NumRows(), EvalOptions{1});
   Rule rule =
       ParseRule(*ex.schema, "amount >= 100 and type <= 'Offline'").ValueOrDie();
 
   const obs::MetricsSnapshot before = obs::MetricsRegistry::Default().Snapshot();
   Bitset first = eval.EvalRule(rule);
-  ConditionCacheStats after_first = eval.condition_index()->cache_stats();
+  ConditionCacheStats after_first = eval.condition_index().cache_stats();
   EXPECT_EQ(after_first.hits, 0u);
   EXPECT_GE(after_first.misses, 2u);  // one extraction per condition
 
   Bitset second = eval.EvalRule(rule);
   EXPECT_EQ(first.ToIndices(), second.ToIndices());
-  ConditionCacheStats after_second = eval.condition_index()->cache_stats();
+  ConditionCacheStats after_second = eval.condition_index().cache_stats();
   EXPECT_EQ(after_second.misses, after_first.misses);  // no re-extraction
   EXPECT_GE(after_second.hits, 2u);
 
@@ -265,27 +261,6 @@ TEST(ConditionIndex, IndexedEvalHitsCacheOnRepeatedConditions) {
   ASSERT_NE(misses, nullptr);
   EXPECT_GE(hits->value, after_second.hits);
   EXPECT_GE(misses->value, after_second.misses);
-}
-
-TEST(ConditionIndex, InvalidateIfGrownRebindsPrefix) {
-  PaperExample ex = MakePaperExample();
-  Relation& relation = *ex.relation;
-  ConditionIndex index(relation);  // snapshot: all current rows
-  Rule rule = ParseRule(*ex.schema, "amount >= 100").ValueOrDie();
-  index.EnsureForRule(rule);
-  size_t before = index.ConditionBitmap(1, rule.condition(1))->ToBitset().Count();
-  EXPECT_FALSE(index.InvalidateIfGrown());  // nothing changed
-
-  // Append a matching row; the index is stale until invalidated.
-  Tuple row = relation.GetRow(0);
-  row[1] = 500;  // amount
-  ASSERT_TRUE(relation.AppendRow(row).ok());
-  EXPECT_TRUE(index.InvalidateIfGrown());
-  EXPECT_EQ(index.prefix_rows(), relation.NumRows());
-  EXPECT_FALSE(index.ReadyForRule(rule));  // indexes dropped
-  index.EnsureForRule(rule);
-  EXPECT_EQ(index.ConditionBitmap(1, rule.condition(1))->ToBitset().Count(),
-            before + 1);
 }
 
 TEST(ConditionIndex, ExtendToRejectsNonMonotonicPrefix) {
@@ -338,12 +313,11 @@ TEST(ConditionIndex, ExtendToRejectsNonMonotonicPrefix) {
 
 TEST(ConditionIndex, MatchesEvaluatorOnGeneratedData) {
   // Randomized rules over a generated dataset: the facade's intersection
-  // semantics must agree with the scan evaluator everywhere.
+  // semantics must agree with the columnar range scan everywhere.
   Scenario s = TinyScenario();
   s.options.num_transactions = 3000;
   Dataset ds = GenerateDataset(s.options);
-  RuleEvaluator scan(*ds.relation, static_cast<size_t>(-1),
-                     EvalOptions{1, /*use_index=*/false});
+  RuleEvaluator scan(*ds.relation);
   ConditionIndex index(*ds.relation);
   const Schema& schema = *ds.cc.schema;
   Rng rng(99);
@@ -362,7 +336,8 @@ TEST(ConditionIndex, MatchesEvaluatorOnGeneratedData) {
       }
     }
     index.EnsureForRule(rule);
-    Bitset expected = scan.EvalRule(rule);
+    Bitset expected(scan.num_rows());
+    scan.EvalRuleRange(rule, 0, scan.num_rows(), &expected);
     Bitset got(index.prefix_rows());
     got.Fill(true);
     for (size_t a = 0; a < rule.arity(); ++a) {

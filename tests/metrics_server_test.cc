@@ -286,8 +286,15 @@ TEST(MetricsServerLifecycle, ResolveMetricsPortPrefersEnv) {
   EXPECT_EQ(ResolveMetricsPort(-1), 9200);
   setenv("RUDOLF_METRICS_PORT", "not-a-port", 1);
   EXPECT_EQ(ResolveMetricsPort(9100), 9100);
-  setenv("RUDOLF_METRICS_PORT", "70000", 1);
-  EXPECT_EQ(ResolveMetricsPort(9100), 9100);
+  setenv("RUDOLF_METRICS_PORT", "0", 1);  // ephemeral port
+  EXPECT_EQ(ResolveMetricsPort(9100), 0);
+  setenv("RUDOLF_METRICS_PORT", "65535", 1);
+  EXPECT_EQ(ResolveMetricsPort(9100), 65535);
+  for (const char* bad :
+       {"70000", "65536", "-1", "9200x", "", "99999999999999999999"}) {
+    setenv("RUDOLF_METRICS_PORT", bad, 1);
+    EXPECT_EQ(ResolveMetricsPort(9100), 9100) << "RUDOLF_METRICS_PORT=" << bad;
+  }
   unsetenv("RUDOLF_METRICS_PORT");
 }
 

@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "metrics/quality.h"
 #include "metrics/report.h"
+#include "obs/metrics.h"
 #include "rules/edit.h"
 #include "rules/parser.h"
+#include "util/random.h"
+#include "workload/generator.h"
 #include "workload/paper_example.h"
+#include "workload/scenarios.h"
 
 namespace rudolf {
 namespace {
@@ -71,6 +77,92 @@ TEST(EvaluateOnRange, DegenerateRanges) {
   RuleSet rules;
   EXPECT_EQ(EvaluateOnRange(*ex.relation, rules, 5, 5).rows, 0u);
   EXPECT_EQ(EvaluateOnRange(*ex.relation, rules, 8, 100).rows, 2u);  // clamped
+}
+
+// The definitional count: ground truth and Rule::MatchesRow, row by row.
+PredictionQuality RowByRowQuality(const Relation& rel, const RuleSet& rules,
+                                  size_t begin, size_t end) {
+  PredictionQuality q;
+  end = std::min(end, rel.NumRows());
+  for (size_t r = begin; r < end; ++r) {
+    bool hit = false;
+    for (RuleId id : rules.LiveIds()) hit = hit || rules.Get(id).MatchesRow(rel, r);
+    ++q.rows;
+    if (rel.TrueLabel(r) == Label::kFraud) {
+      ++q.true_fraud;
+      ++(hit ? q.fraud_captured : q.fraud_missed);
+    } else {
+      ++q.true_legit;
+      if (hit) ++q.legit_captured;
+    }
+  }
+  return q;
+}
+
+uint64_t CounterIn(const obs::MetricsSnapshot& delta, const std::string& name) {
+  const obs::CounterSample* c = delta.FindCounter(name);
+  return c == nullptr ? 0 : c->value;
+}
+
+TEST(EvaluateOnRange, MatchesRowByRowCountWithoutBuildingIndexes) {
+  Scenario s = TinyScenario();
+  s.options.num_transactions = 3000;
+  Dataset ds = GenerateDataset(s.options);
+  const Relation& rel = *ds.relation;
+  const Schema& schema = *ds.cc.schema;
+  const size_t n = rel.NumRows();
+
+  // Random rules mixing numeric intervals and ontology concepts, so both
+  // predicate kernels run over ragged windows.
+  Rng rng(41);
+  RuleSet random_rules;
+  for (int i = 0; i < 6; ++i) {
+    Rule rule = Rule::Trivial(schema);
+    for (size_t a = 0; a < schema.arity(); ++a) {
+      if (rng.Bernoulli(0.6)) continue;
+      const AttributeDef& def = schema.attribute(a);
+      if (def.kind == AttrKind::kNumeric) {
+        int64_t lo = rng.UniformInt(0, 1200);
+        rule.set_condition(
+            a, Condition::MakeNumeric({lo, lo + rng.UniformInt(0, 600)}));
+      } else {
+        rule.set_condition(
+            a, Condition::MakeCategorical(static_cast<ConceptId>(rng.UniformInt(
+                   0, static_cast<int64_t>(def.ontology->size()) - 1))));
+      }
+    }
+    random_rules.AddRule(rule);
+  }
+  RuleSet with_trivial = random_rules;
+  with_trivial.AddRule(Rule::Trivial(schema));
+  RuleSet empty;
+
+  const std::pair<size_t, size_t> windows[] = {
+      {0, n},          {1, n / 2},      {63, 700},  {64, 1000},
+      {65, n - 3},     {n - 1, n},      {n / 2, n / 2},
+      {n / 3, n + 500},  // end past NumRows(): clamped
+  };
+  const obs::MetricsSnapshot before = obs::MetricsRegistry::Default().Snapshot();
+  for (const RuleSet* rules : {&random_rules, &with_trivial, &empty}) {
+    for (const auto& [begin, end] : windows) {
+      PredictionQuality got = EvaluateOnRange(rel, *rules, begin, end);
+      PredictionQuality want = RowByRowQuality(rel, *rules, begin, end);
+      std::string where = "rules " + std::to_string(rules->size()) +
+                          " window [" + std::to_string(begin) + ", " +
+                          std::to_string(end) + ")";
+      EXPECT_EQ(got.rows, want.rows) << where;
+      EXPECT_EQ(got.true_fraud, want.true_fraud) << where;
+      EXPECT_EQ(got.true_legit, want.true_legit) << where;
+      EXPECT_EQ(got.fraud_captured, want.fraud_captured) << where;
+      EXPECT_EQ(got.fraud_missed, want.fraud_missed) << where;
+      EXPECT_EQ(got.legit_captured, want.legit_captured) << where;
+    }
+  }
+  // Scoring a window scans only its rows: no attribute index is built.
+  const obs::MetricsSnapshot delta =
+      obs::MetricsRegistry::Default().Snapshot().DeltaSince(before);
+  EXPECT_EQ(CounterIn(delta, "index.numeric.builds"), 0u);
+  EXPECT_EQ(CounterIn(delta, "index.categorical.builds"), 0u);
 }
 
 TEST(TablePrinter, AlignsColumns) {

@@ -146,8 +146,11 @@ Rule RandomRule(const Schema& schema, Rng* rng) {
 size_t CheckServingMatchesBatch(std::shared_ptr<const Schema> schema,
                                 const Relation& rel, const RuleSet& rules) {
   const std::vector<RuleId> ids = rules.LiveIds();
-  RuleEvaluator scan(rel, rel.NumRows(), EvalOptions{1, /*use_index=*/false});
-  std::vector<Bitset> bitmaps = scan.EvalRules(rules, ids);
+  RuleEvaluator scan(rel, rel.NumRows(), EvalOptions{1});
+  std::vector<Bitset> bitmaps(ids.size(), Bitset(rel.NumRows()));
+  for (size_t k = 0; k < ids.size(); ++k) {
+    scan.EvalRuleRange(rules.Get(ids[k]), 0, rel.NumRows(), &bitmaps[k]);
+  }
 
   ServingEngine engine(schema);
   auto compiled = engine.Publish(rules);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
+#include "util/env.h"
+#include "util/logging.h"
+
 namespace rudolf {
 namespace {
 
@@ -112,6 +118,36 @@ TEST(StringPrintf, Formats) {
 TEST(StringPrintf, LongOutput) {
   std::string long_arg(500, 'a');
   EXPECT_EQ(StringPrintf("%s", long_arg.c_str()).size(), 500u);
+}
+
+TEST(EnvInt, AcceptsOnlyWholeIntegersInRange) {
+  const char* kName = "RUDOLF_TEST_ENV_INT";
+  const LogLevel saved_level = GetLogLevel();
+  SetLogLevel(LogLevel::kWarning);
+
+  unsetenv(kName);
+  EXPECT_EQ(EnvInt(kName, -5, 5), std::nullopt);
+  setenv(kName, "5", 1);
+  EXPECT_EQ(EnvInt(kName, -5, 5), 5);
+  setenv(kName, "-5", 1);
+  EXPECT_EQ(EnvInt(kName, -5, 5), -5);
+  for (const char* bad : {"", "abc", "4x", "8abc", "6", "-6", "1.5",
+                          "99999999999999999999"}) {
+    setenv(kName, bad, 1);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(EnvInt(kName, -5, 5), std::nullopt) << kName << "=" << bad;
+    std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_NE(log.find(std::string(kName) + "=\"" + bad + "\""),
+              std::string::npos)
+        << log;
+  }
+  // A value already warned about is not logged again.
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(EnvInt(kName, -5, 5), std::nullopt);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  unsetenv(kName);
+  SetLogLevel(saved_level);
 }
 
 }  // namespace
