@@ -17,13 +17,36 @@ CaptureTracker::CaptureTracker(const Relation& relation, const RuleSet& rules,
   RUDOLF_SCOPED_LATENCY("tracker.build.seconds");
   RUDOLF_COUNTER_INC("tracker.builds");
   cover_count_.assign(prefix_, 0);
-  std::vector<RuleId> ids = rules.LiveIds();
+  Sync(rules);
+}
+
+void CaptureTracker::Sync(const RuleSet& rules) {
+  for (auto it = tracked_.begin(); it != tracked_.end();) {
+    if (rules.IsLive(it->first)) {
+      ++it;
+      continue;
+    }
+    it->second.capture.ForEach([this](size_t row) { LowerCover(row); });
+    it = tracked_.erase(it);
+  }
+  std::vector<RuleId> stale;
+  for (RuleId id : rules.LiveIds()) {
+    auto it = tracked_.find(id);
+    if (it == tracked_.end() || !(it->second.rule == rules.Get(id))) {
+      stale.push_back(id);
+    }
+  }
+  if (stale.empty()) return;
   // Bitmap evaluation fans out across rules; the cover-count accumulation
   // stays serial (it is a cheap pass and rules would contend on the array).
-  std::vector<Bitset> bitmaps = evaluator_.EvalRules(rules, ids);
-  for (size_t i = 0; i < ids.size(); ++i) {
+  std::vector<Bitset> bitmaps = evaluator_.EvalRules(rules, stale);
+  for (size_t i = 0; i < stale.size(); ++i) {
+    // A new id starts from an empty capture, whose bits lower nothing.
+    Tracked& tracked = tracked_[stale[i]];
+    tracked.capture.ForEach([this](size_t row) { LowerCover(row); });
     bitmaps[i].ForEach([this](size_t row) { RaiseCover(row); });
-    captures_.emplace(ids[i], std::move(bitmaps[i]));
+    tracked.rule = rules.Get(stale[i]);
+    tracked.capture = std::move(bitmaps[i]);
   }
 }
 
@@ -50,7 +73,7 @@ void CaptureTracker::LowerCover(size_t row) {
   if (--cover_count_[row] == 0) AdjustTotals(row, -1);
 }
 
-void CaptureTracker::ExtendPrefix(size_t new_prefix, const RuleSet& rules) {
+void CaptureTracker::ExtendPrefix(size_t new_prefix) {
   RUDOLF_SPAN("tracker.extend");
   RUDOLF_SCOPED_LATENCY("tracker.extend.seconds");
   RUDOLF_COUNTER_INC("tracker.extends");
@@ -59,18 +82,18 @@ void CaptureTracker::ExtendPrefix(size_t new_prefix, const RuleSet& rules) {
   prefix_ = evaluator_.num_rows();
   if (prefix_ == old_prefix) return;
   cover_count_.resize(prefix_, 0);
-  std::vector<RuleId> ids = rules.LiveIds();
+  std::vector<const Rule*> rules;
   std::vector<Bitset*> outs;
-  outs.reserve(ids.size());
-  for (RuleId id : ids) {
-    auto it = captures_.find(id);
-    assert(it != captures_.end());
-    it->second.Resize(prefix_);
-    outs.push_back(&it->second);
+  rules.reserve(tracked_.size());
+  outs.reserve(tracked_.size());
+  for (auto& [id, tracked] : tracked_) {
+    tracked.capture.Resize(prefix_);
+    rules.push_back(&tracked.rule);
+    outs.push_back(&tracked.capture);
   }
   // Each rule scans only the new row range, in parallel across rules; the
   // cover/label-count accumulation walks just the new bits, serially.
-  evaluator_.EvalRulesRange(rules, ids, old_prefix, prefix_, outs);
+  evaluator_.EvalRulesRange(rules, old_prefix, prefix_, outs);
   for (Bitset* capture : outs) {
     capture->ForEachInRange(old_prefix, prefix_,
                             [this](size_t row) { RaiseCover(row); });
@@ -95,9 +118,9 @@ void CaptureTracker::OnVisibleLabelChanged(size_t row, Label old_label,
 }
 
 const Bitset& CaptureTracker::RuleCapture(RuleId id) const {
-  auto it = captures_.find(id);
-  assert(it != captures_.end());
-  return it->second;
+  auto it = tracked_.find(id);
+  assert(it != tracked_.end());
+  return it->second.capture;
 }
 
 Bitset CaptureTracker::UnionCapture() const {
@@ -170,32 +193,13 @@ BenefitDelta CaptureTracker::DeltaForReplaceMany(
   return DeltaBetween(RuleCapture(id), unioned);
 }
 
-void CaptureTracker::ApplyReplace(RuleId id, Bitset new_capture) {
-  auto it = captures_.find(id);
-  assert(it != captures_.end());
-  it->second.ForEach([this](size_t row) { LowerCover(row); });
-  new_capture.ForEach([this](size_t row) { RaiseCover(row); });
-  it->second = std::move(new_capture);
-}
-
-void CaptureTracker::ApplyAdd(RuleId id, Bitset capture) {
-  assert(captures_.find(id) == captures_.end());
-  capture.ForEach([this](size_t row) { RaiseCover(row); });
-  captures_.emplace(id, std::move(capture));
-}
-
-void CaptureTracker::ApplyRemove(RuleId id) {
-  auto it = captures_.find(id);
-  assert(it != captures_.end());
-  it->second.ForEach([this](size_t row) { LowerCover(row); });
-  captures_.erase(it);
-}
-
 size_t CaptureTracker::ApproxMemoryBytes() const {
   size_t bytes = evaluator_.ApproxMemoryBytes();
   bytes += cover_count_.capacity() * sizeof(uint32_t);
-  for (const auto& entry : captures_) {
-    bytes += sizeof(RuleId) + entry.second.WordCount() * sizeof(uint64_t);
+  for (const auto& [id, tracked] : tracked_) {
+    bytes += sizeof(id) + sizeof(Tracked) +
+             tracked.rule.arity() * sizeof(Condition) +
+             tracked.capture.WordCount() * sizeof(uint64_t);
   }
   return bytes;
 }

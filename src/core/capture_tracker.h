@@ -19,8 +19,10 @@ namespace rudolf {
 /// \brief Tracks per-rule capture bitmaps over a prefix of the relation.
 ///
 /// The tracker is bound to the first `prefix_rows` rows ("the past" the
-/// algorithms are allowed to see); the rule set may be edited through the
-/// Apply* methods, which keep the bitmaps and cover counts consistent.
+/// algorithms are allowed to see) and holds its own copy of every rule it
+/// tracks next to that rule's capture bitmap. Whoever edits the rule set
+/// calls Sync() afterwards; the tracker diffs the edit in and stays
+/// bit-identical to a fresh build over the edited set.
 class CaptureTracker {
  public:
   /// Builds bitmaps for every live rule of `rules` over the first
@@ -33,17 +35,25 @@ class CaptureTracker {
   size_t prefix_rows() const { return prefix_; }
   const RuleEvaluator& evaluator() const { return evaluator_; }
 
+  /// Brings the tracked rules in line with the live rules of `rules`:
+  /// tracked ids that are no longer live are dropped, new live ids are
+  /// added, and ids whose rule content changed are re-evaluated; every
+  /// other rule keeps its bitmap untouched. The re-evaluations parallelize
+  /// across rules when `eval.num_threads > 1`. Afterwards the tracker is
+  /// bit-identical to a fresh build over `rules` at prefix_rows(); a Sync
+  /// with nothing to change costs one pass of rule comparisons.
+  void Sync(const RuleSet& rules);
+
   /// Extends the tracker over rows [prefix_rows(), new_prefix) after the
   /// visible stream advanced (clamped to the relation's current rows; must
-  /// not shrink): each live rule of `rules` is evaluated only over the new
-  /// row range (parallel across rules when the tracker was built with
+  /// not shrink): each tracked rule is evaluated only over the new row
+  /// range (parallel across rules when the tracker was built with
   /// num_threads > 1) and its bitmap, the cover counts, and the maintained
   /// label counts are extended in place; the evaluator's condition index
   /// absorbs the new rows too. O(batch × rules), bit-identical to building
-  /// a fresh tracker over the new prefix. `rules` must be the same live set
-  /// the tracker is maintaining (every Apply* mirrored), and the relation
+  /// a fresh tracker over the tracked rules at the new prefix. The relation
   /// must have grown by pure appends since the last build/extension.
-  void ExtendPrefix(size_t new_prefix, const RuleSet& rules);
+  void ExtendPrefix(size_t new_prefix);
 
   /// Incremental label-count fixup: must be called (with the row's previous
   /// and new visible label) whenever a row *inside* the prefix is relabeled
@@ -52,14 +62,14 @@ class CaptureTracker {
   /// the rows come into view.
   void OnVisibleLabelChanged(size_t row, Label old_label, Label new_label);
 
-  /// Capture bitmap of one live rule.
+  /// Capture bitmap of one tracked rule.
   const Bitset& RuleCapture(RuleId id) const;
 
   /// Rows captured by the whole rule set (cover count > 0).
   Bitset UnionCapture() const;
 
   /// Visible-label counts of the current Φ(I). Maintained incrementally by
-  /// the Apply* mutations and ExtendPrefix — O(1), no union scan.
+  /// Sync and ExtendPrefix — O(1), no union scan.
   LabelCounts TotalCounts() const { return total_counts_; }
 
   /// True if the row is captured by at least one rule.
@@ -92,13 +102,9 @@ class CaptureTracker {
   BenefitDelta DeltaForReplaceMany(RuleId id,
                                    const std::vector<Bitset>& captures) const;
 
-  /// Mutations (keep `rules` itself in sync separately).
-  void ApplyReplace(RuleId id, Bitset new_capture);
-  void ApplyAdd(RuleId id, Bitset capture);
-  void ApplyRemove(RuleId id);
-
-  /// Approximate heap bytes held: per-rule capture bitmaps, cover counts,
-  /// and the evaluator's caches (condition index + bitmap cache + masks).
+  /// Approximate heap bytes held: tracked rules and their capture bitmaps,
+  /// cover counts, and the evaluator's caches (condition index + bitmap
+  /// cache + masks).
   /// The fleet's per-tenant accounting; call only while the tracker is
   /// quiescent.
   size_t ApproxMemoryBytes() const;
@@ -110,6 +116,12 @@ class CaptureTracker {
   void ReleaseCachedBitmaps();
 
  private:
+  // A tracked rule: the tracker's copy of the rule and its capture bitmap.
+  struct Tracked {
+    Rule rule;
+    Bitset capture;
+  };
+
   // Classifies the row-coverage transition of replacing old with new.
   BenefitDelta DeltaBetween(const Bitset& old_capture,
                             const Bitset& new_capture) const;
@@ -125,7 +137,7 @@ class CaptureTracker {
   const Relation& relation_;
   size_t prefix_;
   RuleEvaluator evaluator_;
-  std::unordered_map<RuleId, Bitset> captures_;
+  std::unordered_map<RuleId, Tracked> tracked_;
   std::vector<uint32_t> cover_count_;
   LabelCounts total_counts_;
 };

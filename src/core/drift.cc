@@ -51,7 +51,6 @@ RetireStats RetireObsoleteRules(const Relation& relation, RuleSet* rules,
       continue;
     }
     rules->RemoveRule(p.rule_id);
-    tracker->ApplyRemove(p.rule_id);
     Edit edit;
     edit.kind = EditKind::kRemoveRule;
     edit.source = EditSource::kSystem;
@@ -60,6 +59,7 @@ RetireStats RetireObsoleteRules(const Relation& relation, RuleSet* rules,
     log->Record(std::move(edit));
     ++stats.retired;
   }
+  tracker->Sync(*rules);
   return stats;
 }
 

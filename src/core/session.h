@@ -22,8 +22,8 @@ class IngestPipeline;
 
 /// Configuration of a refinement session.
 struct SessionOptions {
-  /// Evaluation parallelism for the session: used for every
-  /// round's CaptureTracker build and inherited by `generalize` / `specialize`
+  /// Evaluation parallelism for the session: used for the session's
+  /// CaptureTracker and inherited by `generalize` / `specialize`
   /// engines whose own EvalOptions are left at the serial default. The
   /// refinement outcome is identical at every thread count (see DESIGN.md
   /// "Parallel evaluation pipeline").
@@ -43,15 +43,6 @@ struct SessionOptions {
   /// off by default.
   bool retire_obsolete = false;
   DriftOptions drift;
-  /// Keep one CaptureTracker (and condition index) alive across rounds and
-  /// Refine() calls, extending it as the visible prefix advances instead of
-  /// rebuilding the world per round — per-round work becomes O(new rows),
-  /// not O(prefix). The refinement outcome is bit-identical to rebuild mode
-  /// (see DESIGN.md "Incremental append path"); the tracker falls back to a
-  /// rebuild whenever the rule set was edited behind its back (simplify,
-  /// retirement pruning, caller edits between Refine calls) or the prefix
-  /// shrank.
-  bool persistent_tracker = true;
   /// Online serving hook: when set, every round that changed the rule set
   /// compiles and atomically publishes the new set here (and Refine
   /// publishes the final post-simplify set before returning), so serving
@@ -65,8 +56,8 @@ struct SessionOptions {
   /// applied; SIZE_MAX freezes at whatever has been applied), refines
   /// against that immutable prefix while ingest workers keep applying rows
   /// beyond it, and on return re-opens the gate, re-attaching the session's
-  /// persistent tracker so workers extend it toward the live end between
-  /// rounds. Not owned; the pointer must stay valid for the session's whole
+  /// tracker so workers extend it toward the live end between Refine
+  /// calls. Not owned; the pointer must stay valid for the session's whole
   /// lifetime — the session's destructor detaches its tracker from the
   /// pipeline (workers may be mid-extension on it), so either teardown
   /// order is safe, as long as both outlive the relation.
@@ -80,8 +71,8 @@ struct SessionStats {
   SpecializeStats specialize;  ///< summed over rounds
   double expert_seconds = 0.0;
   size_t edits = 0;  ///< edits appended to the log by this session
-  // Incremental-tracker accounting (persistent_tracker mode; rebuild mode
-  // reports every round as a rebuild with zero extends).
+  // Incremental-tracker accounting: a session builds its tracker once and
+  // then extends it, unless the prefix shrank or the tracker was released.
   size_t tracker_rebuilds = 0;   ///< trackers built from scratch this call
   size_t tracker_extends = 0;    ///< ExtendPrefix delta updates this call
   double rebuild_seconds = 0.0;  ///< wall time building trackers
@@ -129,15 +120,15 @@ class RefinementSession {
   /// Refine() over the constructor's prefix.
   SessionStats Refine(RuleSet* rules, Expert* expert, EditLog* log);
 
-  /// Persistent-mode label fixup: a caller that changes the visible label
-  /// of a row *inside* the last refined prefix between Refine() calls must
-  /// forward the change here so the held tracker's label counts stay
-  /// current. Rows at or beyond the held prefix need no notification (the
-  /// next extension reads them), and the call is a no-op when no tracker is
-  /// held (rebuild mode, or before the first Refine).
+  /// Label fixup: a caller that changes the visible label of a row *inside*
+  /// the last refined prefix between Refine() calls must forward the change
+  /// here so the held tracker's label counts stay current. Rows at or
+  /// beyond the held prefix need no notification (the next extension reads
+  /// them), and the call is a no-op when no tracker is held (before the
+  /// first Refine, or after ReleaseTracker).
   void NotifyVisibleLabelChanged(size_t row, Label old_label, Label new_label);
 
-  /// Approximate heap bytes held by the session's persistent tracker
+  /// Approximate heap bytes held by the session's tracker
   /// (capture bitmaps + condition index + caches); 0 when no tracker is
   /// held. Fleet memory accounting — call only between Refine() calls, and
   /// only on non-pipelined sessions (a pipelined session's tracker may be
@@ -150,37 +141,31 @@ class RefinementSession {
   /// held or the session is pipelined.
   void ReleaseCachedBitmaps();
 
-  /// Tier-2 fleet eviction: discards the persistent tracker entirely — the
-  /// next Refine() rebuilds it from scratch, which is bit-identical to
-  /// having extended it (DESIGN.md "Incremental append path"), just slower.
+  /// Tier-2 fleet eviction: discards the tracker entirely — the next
+  /// Refine() rebuilds it from scratch, which is bit-identical to having
+  /// extended and synced it (DESIGN.md "Incremental append path"), just
+  /// slower.
   /// No-op when the session is pipelined (ingest workers may hold the
   /// attached tracker).
   void ReleaseTracker();
 
  private:
   // Returns a tracker over `prefix` rows that is consistent with `rules`:
-  // in persistent mode the held tracker is reused (extended over the new
-  // rows if the prefix grew) when `rules` still matches the snapshot it was
-  // maintaining; otherwise — rule set edited behind its back, prefix
-  // shrank, or non-persistent mode — a fresh tracker is built. Updates
-  // `stats`'s rebuild/extend accounting.
+  // a fresh one when none is held or the prefix shrank; otherwise the held
+  // tracker, extended over the new rows if the prefix grew, then synced
+  // with whatever edits `rules` received since (simplify, retirement,
+  // caller edits between Refine calls). Updates `stats`'s rebuild/extend
+  // accounting.
   CaptureTracker* AcquireTracker(size_t prefix, const RuleSet& rules,
                                  SessionStats* stats);
-
-  // Records `rules` as the live set tracker_ is maintaining (deep copy, so
-  // later caller edits are detected by comparison).
-  void SnapshotRules(const RuleSet& rules);
 
   const Relation& relation_;
   size_t default_prefix_;
   SessionOptions options_;
   GeneralizationEngine generalizer_;
   SpecializationEngine specializer_;
-  // Persistent-tracker state (persistent_tracker mode; unused otherwise).
-  // tracker_rules_ is the snapshot of the rule set as of the last moment
-  // tracker_ was known to be in sync with it.
+  // The session's tracker, kept across rounds and Refine() calls.
   std::unique_ptr<CaptureTracker> tracker_;
-  std::unique_ptr<RuleSet> tracker_rules_;
 };
 
 }  // namespace rudolf

@@ -98,11 +98,8 @@ void SpecializationEngine::ApplySplit(RuleSet* rules, CaptureTracker* tracker,
                                       EditSource source, SpecializeStats* stats) {
   const Schema& schema = relation_.schema();
   rules->RemoveRule(rule_id);
-  tracker->ApplyRemove(rule_id);
-  for (const Rule& r : replacements) {
-    RuleId id = rules->AddRule(r);
-    tracker->ApplyAdd(id, tracker->Eval(r));
-  }
+  for (const Rule& r : replacements) rules->AddRule(r);
+  tracker->Sync(*rules);
   Edit edit;
   edit.rule = rule_id;
   edit.attribute = attribute;

@@ -48,8 +48,8 @@ struct RoundRecord {
   double total_seconds = 0;  ///< cumulative expert time
   PredictionQuality future;  ///< quality on the unseen suffix
   // Incremental-tracker accounting of the refinement session this round
-  // (zeros for methods that run without one). With the default persistent
-  // session, steady-state rounds report extends and no rebuilds.
+  // (zeros for methods that run without one). The session keeps one
+  // tracker, so rounds after the first report extends and no rebuilds.
   size_t tracker_rebuilds = 0;  ///< capture trackers built from scratch
   size_t tracker_extends = 0;   ///< ExtendPrefix delta updates
   double rebuild_seconds = 0;   ///< wall time building trackers

@@ -15,10 +15,13 @@
 // Relation BEYOND the frozen prefix (epoch k+1's rows) but never touch the
 // attached CaptureTracker/ConditionIndex and never reallocate columns — so
 // every structure the round reads is immutable for the round's lifetime.
-// ReleaseEpoch() re-opens the gate and re-attaches the session's persistent
-// tracker, and workers resume extending it toward the live end after each
-// apply (CaptureTracker::ExtendPrefix → ConditionIndex::ExtendTo), keeping
-// the next epoch-advance O(rows since the last extension).
+// ReleaseEpoch() re-opens the gate and re-attaches the session's tracker,
+// and workers resume extending it toward the live end after each apply
+// (CaptureTracker::ExtendPrefix → ConditionIndex::ExtendTo, over the rules
+// the tracker holds), keeping the next epoch-advance O(rows since the last
+// extension). Rule edits made while the tracker is attached need no
+// coordination: the tracker keeps its own copy of the rules, and the next
+// episode's CaptureTracker::Sync diffs the edits in.
 //
 // Drift-freedom: batch application is sequenced in Append order, so the
 // relation's row order is identical to the serial schedule's; rounds run
@@ -48,7 +51,6 @@
 #include "pipeline/row_batch.h"
 #include "pipeline/thread_safe_queue.h"
 #include "relation/relation.h"
-#include "rules/rule_set.h"
 
 namespace rudolf {
 
@@ -126,13 +128,11 @@ class IngestPipeline {
   size_t PinEpoch(size_t target_rows = static_cast<size_t>(-1));
 
   /// Epoch advance, step 2: re-opens the gate and (optionally) attaches
-  /// the tracker the workers should keep extended while no round runs.
-  /// `tracker` and `rules` must outlive the attachment (detach by the next
-  /// PinEpoch, a ReleaseEpoch(nullptr, nullptr), or destruction) and must
-  /// be in sync: `rules` is exactly the live set `tracker` is maintaining,
-  /// and neither may be mutated elsewhere while attached.
-  void ReleaseEpoch(CaptureTracker* tracker = nullptr,
-                    const RuleSet* rules = nullptr);
+  /// the tracker the workers should keep extended over its own rules while
+  /// no round runs. `tracker` must outlive the attachment (detach by the
+  /// next PinEpoch, a ReleaseEpoch(nullptr), or destruction) and may not be
+  /// used elsewhere while attached, except through state_mutex().
+  void ReleaseEpoch(CaptureTracker* tracker = nullptr);
 
   /// Epochs pinned so far.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
@@ -203,7 +203,6 @@ class IngestPipeline {
   std::condition_variable gate_cv_;
   bool gate_closed_ = false;
   CaptureTracker* tracker_ = nullptr;
-  const RuleSet* tracker_rules_ = nullptr;
   std::atomic<size_t> frozen_prefix_{0};
   std::atomic<uint64_t> epoch_{0};
 

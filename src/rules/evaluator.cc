@@ -54,29 +54,28 @@ void RuleEvaluator::EvalRuleRange(const Rule& rule, size_t lo, size_t hi,
   EvalRuleBlock(rule, conditions, lo, hi, out);
 }
 
-void RuleEvaluator::EvalRulesRange(const RuleSet& rules,
-                                   const std::vector<RuleId>& ids, size_t lo,
-                                   size_t hi,
+void RuleEvaluator::EvalRulesRange(const std::vector<const Rule*>& rules,
+                                   size_t lo, size_t hi,
                                    const std::vector<Bitset*>& outs) const {
-  assert(ids.size() == outs.size());
+  assert(rules.size() == outs.size());
   RUDOLF_SPAN("eval.rules_range");
-  RUDOLF_COUNTER_ADD("eval.rule.range_scans", ids.size());
-  if (sched_ != nullptr && ids.size() > 1 &&
+  RUDOLF_COUNTER_ADD("eval.rule.range_scans", rules.size());
+  if (sched_ != nullptr && rules.size() > 1 &&
       !TaskScheduler::InRegionTagged(this)) {
     // Serially warm the concept-mask cache so the helpers' range scans only
     // read shared state (the range path never touches the condition index).
-    for (RuleId id : ids) EnsureMasks(rules.Get(id));
+    for (const Rule* rule : rules) EnsureMasks(*rule);
     sched_->ParallelFor(
-        0, ids.size(), 1,
+        0, rules.size(), 1,
         [&](size_t a, size_t b) {
           for (size_t i = a; i < b; ++i) {
-            EvalRuleRange(rules.Get(ids[i]), lo, hi, outs[i]);
+            EvalRuleRange(*rules[i], lo, hi, outs[i]);
           }
         },
         /*tag=*/this);
   } else {
-    for (size_t i = 0; i < ids.size(); ++i) {
-      EvalRuleRange(rules.Get(ids[i]), lo, hi, outs[i]);
+    for (size_t i = 0; i < rules.size(); ++i) {
+      EvalRuleRange(*rules[i], lo, hi, outs[i]);
     }
   }
 }

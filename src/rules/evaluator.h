@@ -94,13 +94,13 @@ class RuleEvaluator {
   /// from a worker thread (see EvalRulesRange).
   void EvalRuleRange(const Rule& rule, size_t lo, size_t hi, Bitset* out) const;
 
-  /// EvalRuleRange for a batch of live rules, in `ids` order, writing into
-  /// `outs[i]` — the bulk delta pass behind CaptureTracker::ExtendPrefix.
-  /// Parallel across rules when num_threads > 1 (concept masks are warmed
-  /// serially first); bit-identical to the serial loop.
-  void EvalRulesRange(const RuleSet& rules, const std::vector<RuleId>& ids,
-                      size_t lo, size_t hi,
-                      const std::vector<Bitset*>& outs) const;
+  /// EvalRuleRange for a batch of rules, writing rule `rules[i]`'s bits
+  /// into `outs[i]` — the bulk delta pass behind
+  /// CaptureTracker::ExtendPrefix. Parallel across rules when
+  /// num_threads > 1 (concept masks are warmed serially first);
+  /// bit-identical to the serial loop.
+  void EvalRulesRange(const std::vector<const Rule*>& rules, size_t lo,
+                      size_t hi, const std::vector<Bitset*>& outs) const;
 
   /// Rows captured by a single rule, through the condition index.
   Bitset EvalRule(const Rule& rule) const;

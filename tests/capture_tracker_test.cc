@@ -105,10 +105,10 @@ TEST_F(CaptureTrackerTest, ApplyReplaceKeepsStateConsistent) {
   RuleSet rules = ex_.rules;
   CaptureTracker tracker(*ex_.relation, rules);
   RuleId first = rules.LiveIds()[0];
-  Rule widened = Parse("time in [18:00,18:05] && amount >= 106");
-  tracker.ApplyReplace(first, tracker.Eval(widened));
-  rules.Replace(first, widened);
+  rules.Replace(first, Parse("time in [18:00,18:05] && amount >= 106"));
+  tracker.Sync(rules);
   CaptureTracker fresh(*ex_.relation, rules);
+  EXPECT_EQ(tracker.RuleCapture(first), fresh.RuleCapture(first));
   EXPECT_EQ(tracker.UnionCapture(), fresh.UnionCapture());
   for (size_t r = 0; r < ex_.relation->NumRows(); ++r) {
     EXPECT_EQ(tracker.CoverCount(r), fresh.CoverCount(r)) << r;
@@ -118,15 +118,15 @@ TEST_F(CaptureTrackerTest, ApplyReplaceKeepsStateConsistent) {
 TEST_F(CaptureTrackerTest, ApplyAddAndRemoveKeepStateConsistent) {
   RuleSet rules = ex_.rules;
   CaptureTracker tracker(*ex_.relation, rules);
-  Rule extra = Parse("amount in [44,48]");
-  RuleId id = rules.AddRule(extra);
-  tracker.ApplyAdd(id, tracker.Eval(extra));
+  rules.AddRule(Parse("amount in [44,48]"));
+  tracker.Sync(rules);
   EXPECT_TRUE(tracker.IsCovered(5));
   RuleId first = rules.LiveIds()[0];
   rules.RemoveRule(first);
-  tracker.ApplyRemove(first);
+  tracker.Sync(rules);
   CaptureTracker fresh(*ex_.relation, rules);
   EXPECT_EQ(tracker.UnionCapture(), fresh.UnionCapture());
+  EXPECT_EQ(tracker.TotalCounts(), fresh.TotalCounts());
 }
 
 TEST_F(CaptureTrackerTest, PrefixRestrictsUniverse) {

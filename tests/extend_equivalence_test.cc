@@ -1,7 +1,8 @@
 // Extend-vs-rebuild equivalence for the incremental append path: delta-
 // maintained attribute indexes, cache-preserving ConditionIndex::ExtendTo,
-// CaptureTracker::ExtendPrefix under randomized append / relabel / rule-edit
-// interleavings (at 1, 4 and 8 threads), and the persistent-session mode —
+// CaptureTracker::ExtendPrefix and CaptureTracker::Sync under randomized
+// append / relabel / rule-edit / simplify interleavings (at 1, 4 and 8
+// threads), and a session that keeps its tracker across Refine calls —
 // every incremental result must be BIT-IDENTICAL to building from scratch.
 //
 // Alongside ParallelEquivalence, this binary is a TSan target: the README's
@@ -15,10 +16,11 @@
 
 #include "core/capture_tracker.h"
 #include "core/session.h"
-#include "experiments/runner.h"
+#include "expert/oracle_expert.h"
 #include "index/attribute_index.h"
 #include "index/condition_index.h"
 #include "rules/evaluator.h"
+#include "rules/simplify.h"
 #include "util/random.h"
 #include "workload/generator.h"
 #include "workload/initial_rules.h"
@@ -173,6 +175,8 @@ TEST(EvalRulesRangeBoundaries, IndexedAndScanAgreeAtZeroAndRelationSize) {
   RuleSet rules;
   for (int i = 0; i < 5; ++i) rules.AddRule(RandomRule(rel.schema(), &rng));
   const std::vector<RuleId> ids = rules.LiveIds();
+  std::vector<const Rule*> rule_ptrs;
+  for (RuleId id : ids) rule_ptrs.push_back(&rules.Get(id));
 
   RuleEvaluator serial(rel, n, EvalOptions{1});
   RuleEvaluator parallel_eval(rel, n, EvalOptions{4});
@@ -198,7 +202,7 @@ TEST(EvalRulesRangeBoundaries, IndexedAndScanAgreeAtZeroAndRelationSize) {
       std::vector<Bitset> outs(ids.size(), Bitset(n));
       std::vector<Bitset*> out_ptrs;
       for (Bitset& b : outs) out_ptrs.push_back(&b);
-      ev->EvalRulesRange(rules, ids, lo, hi, out_ptrs);
+      ev->EvalRulesRange(rule_ptrs, lo, hi, out_ptrs);
       for (size_t k = 0; k < ids.size(); ++k) {
         Bitset expected(n);
         expected.OrRange(full[k], lo, hi);
@@ -209,9 +213,11 @@ TEST(EvalRulesRangeBoundaries, IndexedAndScanAgreeAtZeroAndRelationSize) {
   }
 }
 
-// Randomized interleavings of prefix growth, in-prefix relabels, and rule
-// edits: incrementally maintained trackers (serial, 4- and 8-thread) must
-// stay bit-identical to a tracker freshly built after every operation.
+// Randomized interleavings of prefix growth, in-prefix relabels, rule edits
+// (one at a time, in multi-edit batches, and by a simplify pass), each edit
+// taken in by CaptureTracker::Sync: incrementally maintained trackers
+// (serial, 4- and 8-thread) must stay bit-identical to a tracker freshly
+// built after every operation.
 class ExtendEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtendEquivalence,
@@ -256,14 +262,36 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
     }
   };
 
+  // One random add, replace or remove (never the last live rule).
+  auto random_edit = [&] {
+    std::vector<RuleId> live = rules.LiveIds();
+    RuleId id = live[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
+    switch (rng.UniformInt(0, 2)) {
+      case 0:
+        rules.AddRule(RandomRule(schema, &rng));
+        return "add";
+      case 1:
+        rules.Replace(id, RandomRule(schema, &rng));
+        return "replace";
+      default:
+        if (live.size() == 1) return "skip";
+        rules.RemoveRule(id);
+        return "remove";
+    }
+  };
+  auto sync_all = [&] {
+    for (auto& t : trackers) t->Sync(rules);
+  };
+
   check_all("initial");
-  for (int step = 0; step < 24; ++step) {
-    switch (rng.UniformInt(0, 4)) {
+  for (int step = 0; step < 32; ++step) {
+    switch (rng.UniformInt(0, 5)) {
       case 0:    // the stream advances
-      case 1: {  // (twice as likely as each edit kind)
+      case 1: {  // (twice as likely as each other operation)
         prefix = std::min(prefix + static_cast<size_t>(rng.UniformInt(1, 500)),
                           rel.NumRows());
-        for (auto& t : trackers) t->ExtendPrefix(prefix, rules);
+        for (auto& t : trackers) t->ExtendPrefix(prefix);
         check_all("extend");
         break;
       }
@@ -279,73 +307,99 @@ TEST_P(ExtendEquivalence, TrackerInterleavingsMatchFreshBuilds) {
         check_all("relabel");
         break;
       }
-      case 3: {  // a rule is added
-        Rule rule = RandomRule(schema, &rng);
-        RuleId id = rules.AddRule(rule);
-        for (auto& t : trackers) t->ApplyAdd(id, t->Eval(rule));
-        check_all("add");
+      case 3: {  // one rule edit, synced
+        const char* op = random_edit();
+        sync_all();
+        check_all(op);
         break;
       }
-      case 4: {  // a rule is replaced (or removed, when several are live)
+      case 4: {  // several edits, synced once
+        int edits = static_cast<int>(rng.UniformInt(2, 5));
+        for (int i = 0; i < edits; ++i) random_edit();
+        sync_all();
+        check_all("batch");
+        break;
+      }
+      case 5: {  // a simplify pass over a set with a duplicate rule
         std::vector<RuleId> live = rules.LiveIds();
         RuleId id = live[static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
-        if (live.size() > 1 && rng.Bernoulli(0.3)) {
-          rules.RemoveRule(id);
-          for (auto& t : trackers) t->ApplyRemove(id);
-          check_all("remove");
-        } else {
-          Rule rule = RandomRule(schema, &rng);
-          rules.Replace(id, rule);
-          for (auto& t : trackers) t->ApplyReplace(id, t->Eval(rule));
-          check_all("replace");
-        }
+        rules.AddRule(rules.Get(id));
+        sync_all();
+        EditLog log;
+        ASSERT_GT(SimplifyRuleSet(schema, &rules, &log).total(), 0u);
+        sync_all();
+        check_all("simplify");
         break;
       }
     }
   }
 }
 
-// End-to-end: a persistent-tracker run of the full experiment protocol must
-// be indistinguishable (rules, edit log, per-round records) from the
-// rebuild-every-round run, while actually taking the extension fast path.
+// End-to-end: a session that keeps its tracker across Refine calls
+// (extending it and syncing simplify's edits) must be indistinguishable —
+// rules, edit log, per-call records — from a reference session that drops
+// its tracker before every call and so builds a fresh one each time.
 TEST(PersistentSession, MatchesRebuildModeEndToEnd) {
   Scenario s = TinyScenario();
   s.options.num_transactions = 1500;
-  Dataset persistent_ds = GenerateDataset(s.options);
-  Dataset rebuild_ds = GenerateDataset(s.options);
+  Dataset kept_ds = GenerateDataset(s.options);
+  Dataset rebuilt_ds = GenerateDataset(s.options);
+  const Schema& schema = kept_ds.relation->schema();
+  // The experiment protocol: 40% revealed up front, then 8% hops, each
+  // revealed before the Refine over the grown prefix.
+  const std::vector<size_t> prefixes = {600, 720, 840, 960};
 
-  RunnerOptions base;
-  base.rounds = 3;
-  RunnerOptions persistent_opts = base;
-  persistent_opts.session.persistent_tracker = true;
-  RunnerOptions rebuild_opts = base;
-  rebuild_opts.session.persistent_tracker = false;
-
-  ExperimentRunner persistent_runner(&persistent_ds, persistent_opts);
-  ExperimentRunner rebuild_runner(&rebuild_ds, rebuild_opts);
-  RunResult a = persistent_runner.Run(Method::kRudolf);
-  RunResult b = rebuild_runner.Run(Method::kRudolf);
-
-  const Schema& schema = persistent_ds.relation->schema();
-  EXPECT_EQ(a.final_rules.ToString(schema), b.final_rules.ToString(schema));
-  EXPECT_EQ(a.log.size(), b.log.size());
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  size_t extends_a = 0, rebuilds_a = 0, rebuilds_b = 0;
-  for (size_t i = 0; i < a.rounds.size(); ++i) {
-    EXPECT_EQ(a.rounds[i].cumulative_edits, b.rounds[i].cumulative_edits);
-    EXPECT_EQ(a.rounds[i].cumulative_updates, b.rounds[i].cumulative_updates);
-    EXPECT_EQ(a.rounds[i].rules, b.rounds[i].rules);
-    extends_a += a.rounds[i].tracker_extends;
-    rebuilds_a += a.rounds[i].tracker_rebuilds;
-    rebuilds_b += b.rounds[i].tracker_rebuilds;
-    EXPECT_EQ(b.rounds[i].tracker_extends, 0u);  // rebuild mode never extends
+  struct World {
+    Dataset* ds = nullptr;
+    RuleSet rules;
+    EditLog log;
+    std::unique_ptr<OracleExpert> expert;
+    std::unique_ptr<RefinementSession> session;
+    Rng reveal{0xA11CE};
+  };
+  World kept;
+  World rebuilt;
+  kept.ds = &kept_ds;
+  rebuilt.ds = &rebuilt_ds;
+  auto reveal = [](World* w, size_t begin, size_t end) {
+    RevealLabels(w->ds->relation.get(), begin, end,
+                 w->ds->options.label_coverage, w->ds->options.mislabel_fraction,
+                 w->ds->options.false_fraud_fraction, &w->reveal);
+  };
+  for (World* w : {&kept, &rebuilt}) {
+    w->rules = SynthesizeInitialRules(*w->ds);
+    w->expert = MakeDomainExpert(*w->ds, 1);
+    w->session =
+        std::make_unique<RefinementSession>(*w->ds->relation, SessionOptions{});
+    reveal(w, 0, prefixes[0]);
   }
-  EXPECT_GT(extends_a, 0u);           // the fast path actually ran
-  EXPECT_LT(rebuilds_a, rebuilds_b);  // and displaced from-scratch builds
-  // Satellite: cache counters surface through SessionStats / RoundRecord.
-  const RoundRecord& last = a.rounds.back();
-  EXPECT_GT(last.cache.hits + last.cache.misses, 0u);
+
+  size_t extends_kept = 0, rebuilds_kept = 0, rebuilds_ref = 0;
+  SessionStats a;
+  for (size_t i = 1; i < prefixes.size(); ++i) {
+    reveal(&kept, prefixes[i - 1], prefixes[i]);
+    a = kept.session->Refine(prefixes[i], &kept.rules, kept.expert.get(),
+                             &kept.log);
+    reveal(&rebuilt, prefixes[i - 1], prefixes[i]);
+    rebuilt.session->ReleaseTracker();
+    SessionStats b = rebuilt.session->Refine(prefixes[i], &rebuilt.rules,
+                                             rebuilt.expert.get(), &rebuilt.log);
+    EXPECT_EQ(a.rounds, b.rounds) << i;
+    EXPECT_EQ(a.edits, b.edits) << i;
+    EXPECT_EQ(kept.log.NumUpdates(), rebuilt.log.NumUpdates()) << i;
+    EXPECT_EQ(kept.rules.ToString(schema), rebuilt.rules.ToString(schema)) << i;
+    extends_kept += a.tracker_extends;
+    rebuilds_kept += a.tracker_rebuilds;
+    rebuilds_ref += b.tracker_rebuilds;
+    EXPECT_EQ(b.tracker_extends, 0u);  // the reference never extends
+  }
+  EXPECT_EQ(kept.log.size(), rebuilt.log.size());
+  EXPECT_GT(extends_kept, 0u);     // the fast path actually ran
+  EXPECT_EQ(rebuilds_kept, 1u);    // one build for the whole session
+  EXPECT_EQ(rebuilds_ref, prefixes.size() - 1);
+  // Cache counters surface through SessionStats.
+  EXPECT_GT(a.cache.hits + a.cache.misses, 0u);
 }
 
 TEST(RelationCounts, VisibleCountsStayExactUnderRelabels) {

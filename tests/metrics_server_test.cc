@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -201,6 +202,10 @@ TEST_F(MetricsServerHttpTest, ConcurrentScrapesDuringCounterTraffic) {
     });
   }
   std::atomic<int> ok{0};
+  // The status line of the first response that failed the check, or
+  // "<empty>" when nothing came back, so a failure says what the server sent.
+  std::mutex first_failure_mu;
+  std::string first_failure;
   std::vector<std::thread> scrapers;
   for (int s = 0; s < 4; ++s) {
     scrapers.emplace_back([&] {
@@ -209,6 +214,13 @@ TEST_F(MetricsServerHttpTest, ConcurrentScrapesDuringCounterTraffic) {
         if (response.find("HTTP/1.1 200 OK") != std::string::npos &&
             response.find("rudolf_http_ops") != std::string::npos) {
           ok.fetch_add(1);
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(first_failure_mu);
+        if (first_failure.empty()) {
+          first_failure = response.empty()
+                              ? "<empty>"
+                              : response.substr(0, response.find("\r\n"));
         }
       }
     });
@@ -216,7 +228,7 @@ TEST_F(MetricsServerHttpTest, ConcurrentScrapesDuringCounterTraffic) {
   for (std::thread& t : scrapers) t.join();
   stop.store(true);
   for (std::thread& t : writers) t.join();
-  EXPECT_EQ(ok.load(), 32);
+  EXPECT_EQ(ok.load(), 32) << "first failing response: " << first_failure;
   EXPECT_GE(server_->requests_served(), 32u);
 }
 

@@ -259,21 +259,17 @@ TEST_P(SeededProperty, TrackerApplySequenceStaysConsistent) {
     std::vector<RuleId> live = rules.LiveIds();
     int op = static_cast<int>(rng.UniformInt(0, 2));
     if (op == 0 || live.empty()) {
-      Rule r = RandomRule(ds, &rng);
-      RuleId id = rules.AddRule(r);
-      tracker.ApplyAdd(id, tracker.Eval(r));
+      rules.AddRule(RandomRule(ds, &rng));
     } else if (op == 1) {
       RuleId id = live[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
-      Rule r = RandomRule(ds, &rng);
-      rules.Replace(id, r);
-      tracker.ApplyReplace(id, tracker.Eval(r));
+      rules.Replace(id, RandomRule(ds, &rng));
     } else {
       RuleId id = live[static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
       rules.RemoveRule(id);
-      tracker.ApplyRemove(id);
     }
+    tracker.Sync(rules);
   }
   CaptureTracker fresh(*ds.relation, rules);
   EXPECT_EQ(tracker.UnionCapture(), fresh.UnionCapture());

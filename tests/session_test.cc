@@ -54,6 +54,27 @@ TEST_F(SessionTest, FixpointStopsEarly) {
   EXPECT_EQ(log.size(), 0u);
 }
 
+// Simplify edits the rule set after the rounds; the next Refine takes the
+// edits in through the held tracker (extend, then Sync) instead of building
+// a new one.
+TEST_F(SessionTest, SimplifyEditsKeepTheTracker) {
+  RuleSet rules;
+  for (size_t r : ex_.relation->RowsWithVisibleLabel(Label::kFraud)) {
+    rules.AddRule(Rule::Exactly(*ex_.schema, ex_.relation->GetRow(r)));
+  }
+  RuleId duplicate = rules.AddRule(rules.Get(rules.LiveIds()[0]));
+  RefinementSession session(*ex_.relation, SessionOptions{});
+  EditLog log;
+  ScriptedExpert expert;
+  SessionStats first = session.Refine(5, &rules, &expert, &log);
+  EXPECT_EQ(first.tracker_rebuilds, 1u);
+  ASSERT_FALSE(rules.IsLive(duplicate));  // simplify changed the rule set
+  SessionStats second =
+      session.Refine(ex_.relation->NumRows(), &rules, &expert, &log);
+  EXPECT_EQ(second.tracker_rebuilds, 0u);
+  EXPECT_EQ(second.tracker_extends, 1u);
+}
+
 TEST_F(SessionTest, MaxRoundsBoundsWork) {
   SessionOptions options;
   options.max_rounds = 1;
